@@ -35,7 +35,6 @@ from .complex_core import (
 )
 from .chordality import (
     ChordSetRecord,
-    chordality_report,
     is_chorded,
     is_d_chorded,
     is_d_cycle_complete,
@@ -255,7 +254,7 @@ def _cmd_linres(c: Complex, args) -> dict:
             raise InputError("--closure requires -d")
         c = d_closure(c, args.dim)
     ideal = stanley_reisner_generators(c)
-    verdict = has_t_linear_resolution(ideal, args.t, args.field_spec)
+    verdict = has_t_linear_resolution(ideal, args.t, args.field_spec, args.cap)
     body: dict = {
         "t": args.t,
         "field": str(args.field_spec),
@@ -274,7 +273,7 @@ def _cmd_linres(c: Complex, args) -> dict:
 
 def _cmd_componentwise(c: Complex, args) -> dict:
     ideal = facet_ideal_generators(c)
-    verdict = is_componentwise_linear(ideal, args.field_spec)
+    verdict = is_componentwise_linear(ideal, args.field_spec, args.cap)
     return {
         "field": str(args.field_spec),
         "componentwise_linear": verdict.componentwise_linear,
@@ -341,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default="gf2", help="gf2, gf<p> or q")
         if "cap" in needs:
             p.add_argument("--cap", type=int, default=DEFAULT_KERNEL_CAP,
-                           help="kernel enumeration cap (default 2^20)")
+                           help="work cap: kernel vectors, or windows per linear-resolution sweep (default 2^20)")
         if "t" in needs:
             p.add_argument("-t", type=int, required=True, dest="t",
                            help="target linearity degree")
@@ -431,8 +430,9 @@ def main(argv: list[str] | None = None) -> int:
     if report:
         text = serialize_report(report)
         sys.stdout.write(text)
-        if "--json" in argv and argv.index("--json") + 1 < len(argv):
-            with open(argv[argv.index("--json") + 1], "w", encoding="utf-8") as fh:
+        path = build_parser().parse_args(argv).json
+        if path is not None:
+            with open(path, "w", encoding="utf-8") as fh:
                 fh.write(text)
     return code
 

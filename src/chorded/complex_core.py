@@ -131,8 +131,12 @@ EMPTY_FACE = Face(0)
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal elements, deterministic order (size desc, then value)."""
     out: list[int] = []
+    larger: list[int] = []  # the kept masks strictly larger than m: equal sizes never nest
+    size = -1
     for m in sorted(set(masks), key=lambda m: (-m.bit_count(), m)):
-        if not any(m & ~k == 0 for k in out):
+        if m.bit_count() != size:
+            size, larger = m.bit_count(), out[:]
+        if not any(m & ~k == 0 for k in larger):
             out.append(m)
     return out
 
@@ -402,20 +406,17 @@ def d_closure(c: Complex, d: int) -> Complex:
     dmasks = {f.mask for f in dfaces}
     n = c.vertex_count
 
-    # grow level by level: a (k+1)-set qualifies iff all its k-subsets did
+    # grow level by level: a (k+1)-set qualifies iff all its k-subsets did;
+    # each candidate is built once, from the subset without its top vertex
     levels: list[set[int]] = [set(dmasks)]
     while levels[-1]:
+        level = levels[-1]
         nxt: set[int] = set()
-        for m in levels[-1]:
-            for v in range(n):
+        for m in level:
+            for v in range(m.bit_length(), n):
                 bit = 1 << v
-                if m & bit:
-                    continue
-                cand = m | bit
-                if cand in nxt:
-                    continue
-                if all((cand ^ (1 << u)) in levels[-1] for u in _bits(cand)):
-                    nxt.add(cand)
+                if all(((m ^ (1 << u)) | bit) in level for u in _bits(m)):
+                    nxt.add(m | bit)
         levels.append(nxt)
 
     small = d if n >= d else n
@@ -484,12 +485,10 @@ def complex_of_ideal(i: MonomialIdeal) -> Complex:
     n = i.variable_count
     current: list[int] = [(1 << n) - 1]
     for g in sorted(i.generators):
-        nxt: set[int] = set()
-        for s in current:
-            if g.mask & ~s:
-                nxt.add(s)
-            else:
-                for v in g.vertices:
-                    nxt.add(s ^ (1 << v))
-        current = _maximal_masks(nxt)
+        # Sets missing part of g stay maximal: current is an antichain, so none
+        # lies inside a split set s - v.  A split set survives when it is
+        # maximal among the split sets and lies inside no kept set.
+        kept = [s for s in current if g.mask & ~s]
+        split = _maximal_masks(s ^ (1 << v) for s in current if not g.mask & ~s for v in g.vertices)
+        current = kept + [m for m in split if not any(m & ~k == 0 for k in kept)]
     return Complex(n, (Face(m) for m in current if m), i.labels)

@@ -2,8 +2,9 @@
 
 GF(2) matrices are manipulated as rows of Python ints used as bitmasks, so
 row elimination is word-parallel XOR.  GF(p) and rational eliminations are
-dense with plain modular ints / ``fractions.Fraction``; no floating point
-appears anywhere.  The pivot rule is fixed (scan columns left to right, take
+dense with plain modular ints / ``fractions.Fraction``, except ``sparse_rank``,
+which ranks sparse integer vectors mod p or by integer Bareiss elimination; no
+floating point appears anywhere.  The pivot rule is fixed (scan columns left to right, take
 the first remaining row with a nonzero entry), which makes ranks, kernel
 bases, preimages and enumeration orders reproducible for a fixed input.
 """
@@ -25,6 +26,7 @@ __all__ = [
     "SparseMatrix",
     "ChainVector",
     "rank",
+    "sparse_rank",
     "kernel_basis",
     "in_image",
     "enumerate_kernel_vectors",
@@ -382,6 +384,45 @@ def _int_rank_bareiss(rows: list[list[int]]) -> int:
         if r == nr:
             break
     return r
+
+
+def sparse_rank(vectors: list[tuple[tuple[int, int], ...]], p: int | None = None) -> int:
+    """Rank of integer vectors given as ``(index, value)`` pairs with distinct indices.
+
+    With a prime ``p`` the rank is taken over GF(p), by elimination on the
+    lowest index of each vector; with ``p=None`` it is exact over QQ, by
+    Bareiss elimination on the dense integer rows.
+    """
+    if p is None:
+        index: dict[int, int] = {}
+        for vec in vectors:
+            for i, _ in vec:
+                index.setdefault(i, len(index))
+        dense = []
+        for vec in vectors:
+            row = [0] * len(index)
+            for i, x in vec:
+                row[index[i]] = x
+            dense.append(row)
+        return _int_rank_bareiss(dense)
+    pivots: dict[int, dict[int, int]] = {}
+    for vec in vectors:
+        v = {i: x % p for i, x in vec if x % p}
+        while v:
+            lead = min(v)
+            row = pivots.get(lead)
+            if row is None:
+                inv = pow(v[lead], -1, p)
+                pivots[lead] = {i: x * inv % p for i, x in v.items()}
+                break
+            c = v[lead]
+            for i, x in row.items():
+                y = (v.get(i, 0) - c * x) % p
+                if y:
+                    v[i] = y
+                else:  # only an index already in v can cancel
+                    del v[i]
+    return len(pivots)
 
 
 def rank(m: SparseMatrix, f: FieldSpec) -> int:

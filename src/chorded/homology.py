@@ -15,7 +15,7 @@ from functools import lru_cache
 
 from .complex_core import Complex, EMPTY_FACE, Face
 from .errors import InputError
-from .field_linalg import FieldSpec, GF2, SparseMatrix, rank
+from .field_linalg import FieldSpec, SparseMatrix, rank
 
 __all__ = [
     "OrientedFace",
@@ -157,7 +157,3 @@ class BettiProfile:
 def betti_profile(c: Complex, f: FieldSpec) -> BettiProfile:
     return BettiProfile(f, tuple(reduced_betti(c, i, f) for i in range(c.dim + 1)))
 
-
-def gf2_cycle_matrix(c: Complex, d: int) -> SparseMatrix:
-    """The GF(2) boundary matrix whose kernel is the d-cycle space of ``c``."""
-    return boundary_matrix(c, d, GF2)

@@ -3,10 +3,25 @@
 The t-linear-resolution test is the homological vanishing criterion: an
 ideal minimally generated in degree t has a t-linear resolution over a field
 exactly when every induced subcomplex of its associated complex has zero
-reduced homology away from degree t-2.  The sweep walks every nonempty
-vertex subset in (size, lex) order and reports the first failure as a
-witness, so negative verdicts are small and reproducible.  The empty subset
-and homological degree -1 are excluded.
+reduced homology away from degree t-2.  The sweep walks the vertex subsets
+in (size, lex) order and reports the first failure as a witness, so
+negative verdicts are small and reproducible.  The empty subset and
+homological degree -1 are excluded.
+
+The sweep works on int face masks: no ``Complex`` is built per window.  Two
+exact skip rules leave out what cannot fail:
+
+- Degrees h < t-2 vanish on every window W: every set of at most t-1
+  vertices is a face, so the window holds the full (t-2)-skeleton of the
+  simplex on W.
+- Windows with |W| <= t+1 vanish away from t-2: a set is a face exactly when
+  all its t-subsets are, so such a window is a simplex, or the boundary of
+  one, or (|W| = t+1) holds a (t-1)-cycle only when W itself is a face.
+
+Over QQ every window is first ranked modulo the prime 2^31-1.  Ranks mod p
+never exceed rational ranks, so a betti number 0 mod p certifies rational
+vanishing; only when it is positive are that window's ranks recomputed
+exactly by Bareiss elimination.  No floating point is involved.
 
 "Over every field" is operationalized as the probe set {GF(2), GF(3), QQ};
 reports carry that list rather than claiming the full quantifier.
@@ -15,6 +30,7 @@ reports carry that list rather than claiming the full quantifier.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .complex_core import (
@@ -23,12 +39,10 @@ from .complex_core import (
     MonomialIdeal,
     complex_of_ideal,
     d_closure,
-    induced_subcomplex,
     pure_skeleton,
 )
 from .errors import CapExceeded, InputError
-from .field_linalg import FieldSpec, GF2, RATIONAL, gfp
-from .homology import reduced_betti
+from .field_linalg import DEFAULT_KERNEL_CAP, FieldSpec, GF2, RATIONAL, gf2_rref, gfp, sparse_rank
 
 __all__ = [
     "ResolutionVerdict",
@@ -43,6 +57,7 @@ __all__ = [
 
 PROBE_FIELDS: tuple[FieldSpec, ...] = (GF2, gfp(3), RATIONAL)
 MAX_LINRES_VARIABLES = 20
+CERTIFICATE_PRIME = 2147483647  # 2^31 - 1: rational vanishing is certified by ranks mod this prime
 
 
 @dataclass(frozen=True)
@@ -79,26 +94,45 @@ def min_generation_degree(i: MonomialIdeal) -> int | None:
     d-closure of that complex's pure d-skeleton; this identity is asserted.
     The zero ideal is rejected.
     """
+    return _uniform_degree_complex(i)[0]
+
+
+def _uniform_degree_complex(i: MonomialIdeal) -> tuple[int | None, Complex | None]:
+    """``min_generation_degree`` together with the complex its assertion built."""
     if i.is_zero:
         raise InputError("the zero ideal has no generation degree")
     degrees = i.degrees()
     if len(degrees) != 1:
-        return None
+        return None, None
     t = next(iter(degrees))
     d = t - 1
     c = complex_of_ideal(i)
     if c != d_closure(pure_skeleton(c, d), d):
         raise AssertionError("uniform-degree ideal whose complex is not the closure of its skeleton")
-    return t
+    return t, c
 
 
-def has_t_linear_resolution(i: MonomialIdeal, t: int, f: FieldSpec) -> ResolutionVerdict:
-    """Homological vanishing sweep over all nonempty variable subsets.
+def _check_window_cap(n: int, t: int, cap: int) -> None:
+    """Refuse a degree-t sweep on n variables that would examine more than ``cap`` windows."""
+    needed = sum(math.comb(n, k) for k in range(t + 2, n + 1))  # the windows of more than t+1 vertices
+    if needed > cap:
+        raise CapExceeded(
+            f"linear-resolution sweep needs {needed} windows, above cap {cap}",
+            needed=needed,
+            cap=cap,
+        )
+
+
+def has_t_linear_resolution(
+    i: MonomialIdeal, t: int, f: FieldSpec, cap: int = DEFAULT_KERNEL_CAP
+) -> ResolutionVerdict:
+    """Homological vanishing sweep over the variable subsets.
 
     Linear iff every induced subcomplex of the ideal's complex has zero
     reduced homology in all degrees other than t-2.  Subsets are visited by
     increasing size then lexicographically; the first failure becomes the
-    witness.
+    witness.  ``CapExceeded`` is raised before any window is examined when
+    the sweep would examine more than ``cap`` windows.
     """
     if i.variable_count > MAX_LINRES_VARIABLES:
         raise CapExceeded(
@@ -106,20 +140,86 @@ def has_t_linear_resolution(i: MonomialIdeal, t: int, f: FieldSpec) -> Resolutio
             needed=i.variable_count,
             cap=MAX_LINRES_VARIABLES,
         )
-    got = min_generation_degree(i)
+    got, c = _uniform_degree_complex(i)
     if got != t:
         raise InputError(f"ideal is minimally generated in degree {got}, not {t}")
-    n = complex_of_ideal(i)
-    for size in range(1, i.variable_count + 1):
-        for w in itertools.combinations(range(i.variable_count), size):
-            ind = induced_subcomplex(n, w)
-            for h in range(ind.dim + 1):
-                if h == t - 2:
-                    continue
-                b = reduced_betti(ind, h, f)
+    _check_window_cap(i.variable_count, t, cap)
+    witness = _first_nonvanishing(c, t, f)
+    return ResolutionVerdict(t, f, witness is None, witness)
+
+
+def _first_nonvanishing(c: Complex, t: int, f: FieldSpec) -> tuple[tuple[int, ...], int, int] | None:
+    """The first (window, degree, betti) with nonzero reduced homology in a degree >= t-1.
+
+    Windows come in (size, lex) order and degrees ascend within a window.
+    Faces are int masks, indexed once: the faces of every degree h >= t-1
+    share one bit index space, so the faces inside a window are one mask
+    operation away, and each face carries its boundary over the indices of
+    the faces one dimension down.  Ranks of the boundary maps restricted to
+    a window are ranks of those boundary vectors.
+    """
+    low = max(t - 1, 0)
+    n = c.vertex_count
+    if c.dim < low:
+        return None
+    exact = f.kind == "rational"
+    p = CERTIFICATE_PRIME if exact else f.p  # None for GF(2), whose boundary vectors are bitmasks
+    below = {m: r for r, m in enumerate(sorted(face.mask for face in c.faces(low - 1)))}
+    contains = [0] * n
+    blocks = []  # per degree low..dim: (first bit, width mask, boundary vectors)
+    offset = 0
+    for h in range(low, c.dim + 1):
+        faces = sorted(c.faces(h), key=lambda face: face.mask)
+        vectors = []
+        for k, face in enumerate(faces):
+            bit = 1 << (offset + k)
+            signed = []
+            for j, v in enumerate(face.vertices):
+                contains[v] |= bit
+                signed.append((below[face.mask ^ (1 << v)], -1 if j & 1 else 1))
+            vectors.append(sum(1 << r for r, _ in signed) if p is None else tuple(signed))
+        blocks.append((offset, (1 << len(faces)) - 1, vectors))
+        below = {face.mask: r for r, face in enumerate(faces)}
+        offset += len(faces)
+    everything = (1 << offset) - 1
+
+    def rank(vectors) -> int:
+        return len(gf2_rref(vectors)[1]) if p is None else sparse_rank(vectors, p)
+
+    def inside(window: int, j: int) -> list:
+        """The boundary vectors of the window's faces of degree low + j."""
+        if j >= len(blocks):
+            return []
+        first, width, vectors = blocks[j]
+        picked = []
+        sel = window >> first & width
+        while sel:
+            low_bit = sel & -sel
+            picked.append(vectors[low_bit.bit_length() - 1])
+            sel ^= low_bit
+        return picked
+
+    for size in range(t + 2, n + 1):
+        for w in itertools.combinations(range(n), size):
+            outside = 0
+            for v in set(range(n)).difference(w):
+                outside |= contains[v]
+            window = everything & ~outside
+            up = inside(window, 0)
+            rank_up = rank(up)
+            for j in range(len(blocks)):
+                cols, rank_cols = up, rank_up
+                if not cols:
+                    break
+                up = inside(window, j + 1)
+                rank_up = rank(up)
+                b = len(cols) - rank_cols - rank_up
+                if b and exact:  # b is the betti number mod p, an upper bound over QQ
+                    rank_up = sparse_rank(up)
+                    b = len(cols) - sparse_rank(cols) - rank_up
                 if b:
-                    return ResolutionVerdict(t, f, False, (w, h, b))
-    return ResolutionVerdict(t, f, True)
+                    return w, low + j, b
+    return None
 
 
 def degree_component(i: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -140,8 +240,12 @@ def degree_component(i: MonomialIdeal, d: int) -> MonomialIdeal:
     return MonomialIdeal(i.variable_count, gens, i.labels)
 
 
-def is_componentwise_linear(i: MonomialIdeal, f: FieldSpec) -> ComponentVerdict:
-    """Test every nonzero square-free degree component for a linear resolution."""
+def is_componentwise_linear(i: MonomialIdeal, f: FieldSpec, cap: int = DEFAULT_KERNEL_CAP) -> ComponentVerdict:
+    """Test every nonzero square-free degree component for a linear resolution.
+
+    ``cap`` bounds the windows of each component's sweep; it is checked for
+    the largest sweep before any component is built.
+    """
     if i.is_zero:
         raise InputError("the zero ideal has no components to test")
     if i.variable_count > MAX_LINRES_VARIABLES:
@@ -151,10 +255,11 @@ def is_componentwise_linear(i: MonomialIdeal, f: FieldSpec) -> ComponentVerdict:
             cap=MAX_LINRES_VARIABLES,
         )
     start = min(i.degrees())
+    _check_window_cap(i.variable_count, start, cap)
     per_degree = []
     for d in range(start, i.variable_count + 1):
         component = degree_component(i, d)
         if component.is_zero:
             continue
-        per_degree.append((d, has_t_linear_resolution(component, d, f)))
+        per_degree.append((d, has_t_linear_resolution(component, d, f, cap)))
     return ComponentVerdict(f, tuple(per_degree))

@@ -142,6 +142,24 @@ def test_json_flag_writes_identical_bytes(tmp_path, capsys):
     assert parsed["result"]["facet_count"] == 6
 
 
+def test_json_equals_flag_writes_identical_bytes(tmp_path, capsys):
+    out = tmp_path / "report.json"
+    code = main(["sr-ideal", f"--json={out}", str(CORPUS / "bipyramid.facets")])
+    assert code == EXIT_OK
+    assert out.read_text() == capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [
+    ["linres", "-t", "3", "--closure", "-d", "2", "--cap", "1"],
+    ["componentwise", "--cap", "1"],
+])
+def test_linres_cap_is_enforced(argv):
+    report, code = run_command([*argv, str(CORPUS / "projective_plane.facets")])
+    assert code == EXIT_INCONCLUSIVE
+    assert report["result"]["inconclusive"] is True
+    assert report["settings"]["cap"] == 1
+
+
 def test_cycles_command_flags():
     report, code = run_command(["cycles", "-d", "2", str(CORPUS / "glued_tetrahedra.facets")])
     assert code == EXIT_OK
