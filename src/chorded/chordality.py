@@ -24,22 +24,20 @@ import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complex_core import Complex, Face
+from .complex_core import Complex, Face, _closure_level, _require_pure
 from .cycles import (
     CycleRecord,
-    _column_adjacency,
-    _faces_within,
-    _kernel_supports,
-    _nullity,
-    _sorted_face_list,
-    _support_components,
-    _orientable_cycle_within,
-    _nullity_within,
+    cycle_supports,
+    face_columns,
+    faces_of,
+    faces_within,
     is_d_dimensional_cycle,
     is_orientable,
+    is_vertex_minimal,
     minimal_kernel_supports,
+    nullity,
 )
-from .errors import CapExceeded, InputError, PurityError
+from .errors import CapExceeded, InputError
 from .field_linalg import DEFAULT_KERNEL_CAP
 
 __all__ = [
@@ -115,13 +113,6 @@ class ChordalityReport:
                 raise AssertionError(f"nesting chain violated: {chain}")
 
 
-def _require_pure(c: Complex, d: int, op: str) -> None:
-    if d < 0:
-        raise PurityError(f"{op}: dimension must be non-negative")
-    if not c.is_pure(d):
-        raise PurityError(f"{op}: complex is not pure {d}-dimensional")
-
-
 def verify_chord_set(
     chords,
     cycle: CycleRecord,
@@ -170,36 +161,6 @@ def verify_chord_set(
     return True
 
 
-def _closure_top_faces(ambient: Complex, d: int, wmask: int) -> list[Face]:
-    """(d+2)-subsets of the vertex window whose (d+1)-subsets are all d-faces.
-
-    These are exactly the (d+1)-dimensional faces of the d-closure of the
-    ambient complex induced on the window.
-    """
-    dmasks = {f.mask for f in ambient.faces(d) if f.mask & ~wmask == 0}
-    window = Face(wmask).vertices
-    out: set[int] = set()
-    for m in dmasks:
-        for v in window:
-            bit = 1 << v
-            if m & bit:
-                continue
-            cand = m | bit
-            if cand in out:
-                continue
-            ok = True
-            mm = cand
-            while mm:
-                low = mm & -mm
-                if (cand ^ low) not in dmasks:
-                    ok = False
-                    break
-                mm ^= low
-            if ok:
-                out.add(cand)
-    return _sorted_face_list(Face(m) for m in out)
-
-
 @lru_cache(maxsize=32768)
 def _window_solver(
     ambient: Complex, d: int, wmask: int
@@ -212,9 +173,11 @@ def _window_solver(
     boundary columns over the d-face index space and ``tracking_mask``
     records which (d+1)-faces were combined into it.
     """
-    faces = tuple(_faces_within(ambient, d, wmask))
+    faces = tuple(faces_within(ambient, d, wmask))
     face_pos = {f: i for i, f in enumerate(faces)}
-    tops = tuple(_closure_top_faces(ambient, d, wmask))
+    # the window closure's (d+1)-faces: the sets whose (d+1)-subsets are all window d-faces
+    top_masks = _closure_level({f.mask for f in faces}, ambient.vertex_count)
+    tops = tuple(face_columns(Face(m) for m in top_masks))
     rows: list[tuple[int, int]] = []
     for j, g in enumerate(tops):
         m = 0
@@ -281,17 +244,14 @@ def boundary_chord_test(
     _require_pure(ambient, d, "boundary_chord_test")
     if cycle.is_complete():
         raise InputError("boundary_chord_test expects a non-d-complete cycle")
-    if _nullity([f.mask for f in _sorted_face_list(cycle.faces)]) != 1:
+    if nullity([f.mask for f in cycle.faces]) != 1:
         raise InputError("boundary_chord_test expects a face-minimal cycle")
 
     solved = _window_boundary_preimage(ambient, d, cycle.vertex_mask, cycle.faces)
     if solved is None:
         return None
     top_mask, tops = solved
-    chosen = sorted(
-        (tops[j] for j in range(len(tops)) if top_mask >> j & 1),
-        key=lambda f: f.vertices,
-    )
+    chosen = face_columns(faces_of(top_mask, tops))
     chord_faces: set[Face] = set()
     witnesses = []
     for g in chosen:
@@ -325,7 +285,7 @@ def exhaustive_chord_set_search(
     if cycle.is_complete():
         raise InputError("exhaustive_chord_set_search expects a non-d-complete cycle")
     wmask = cycle.vertex_mask
-    candidates = [f for f in _faces_within(ambient, d, wmask) if f not in cycle.faces]
+    candidates = [f for f in faces_within(ambient, d, wmask) if f not in cycle.faces]
     if len(candidates) > max_candidates:
         raise CapExceeded(
             f"{len(candidates)} candidate chords exceed the exhaustive-search bound {max_candidates}",
@@ -333,39 +293,23 @@ def exhaustive_chord_set_search(
             cap=max_candidates,
         )
 
-    omega_faces = _sorted_face_list(cycle.faces)
     nverts = len(cycle.vertices)
 
     for size in range(1, len(candidates) + 1):
         for chord_combo in itertools.combinations(candidates, size):
-            universe = _sorted_face_list(set(omega_faces) | set(chord_combo))
-            index = {f: i for i, f in enumerate(universe)}
-            masks = [f.mask for f in universe]
-            adj = _column_adjacency(masks, d)
-            pool: set[int] = set()
-            for support in _kernel_supports(masks, cap):
-                for comp in _support_components(support, adj):
-                    pool.add(comp)
-            target = 0
-            for f in omega_faces:
-                target |= 1 << index[f]
-            chord_cover = 0
-            for f in chord_combo:
-                chord_cover |= 1 << index[f]
-            usable = []
-            for comp in sorted(pool, key=lambda m: (m.bit_count(), m)):
-                vm = 0
-                for j in range(len(universe)):
-                    if comp >> j & 1:
-                        vm |= universe[j].mask
-                if vm.bit_count() < nverts:
-                    usable.append(comp)
+            universe = face_columns(cycle.faces | set(chord_combo))
+            target = chord_cover = 0
+            for j, f in enumerate(universe):
+                if f in cycle.faces:
+                    target |= 1 << j
+                else:
+                    chord_cover |= 1 << j
+            pool = {comp: CycleRecord(d, faces_of(comp, universe))
+                    for comp in cycle_supports([f.mask for f in universe], cap)}
+            usable = [comp for comp, rec in pool.items() if len(rec.vertices) < nverts]
             found = _cover_search(usable, target, chord_cover, cap)
             if found is not None and len(found) >= 2:
-                witnesses = tuple(
-                    CycleRecord(d, frozenset(universe[j] for j in range(len(universe)) if comp >> j & 1))
-                    for comp in found
-                )
+                witnesses = tuple(pool[comp] for comp in found)
                 record = ChordSetRecord(frozenset(chord_combo), witnesses, "exhaustive")
                 if verify_chord_set(record.chords, cycle, ambient, record.witnesses):
                     return record
@@ -420,17 +364,12 @@ def is_d_chorded(
     limit.
     """
     _require_pure(c, d, "is_d_chorded")
-    faces = _sorted_face_list(c.faces(d))
-    masks = [f.mask for f in faces]
+    faces = face_columns(c.faces(d))
     complete_count = 0
     checked: list[CycleRecord] = []
     failing: list[CycleRecord] = []
-    for support in minimal_kernel_supports(masks, cap):
-        record = CycleRecord(
-            d,
-            frozenset(faces[j] for j in range(len(faces)) if support >> j & 1),
-            face_minimal=True,
-        )
+    for support in minimal_kernel_supports([f.mask for f in faces], cap):
+        record = CycleRecord(d, faces_of(support, faces), face_minimal=True)
         if record.is_complete():
             complete_count += 1
             continue
@@ -467,28 +406,12 @@ def is_d_cycle_complete(
             needed=c.vertex_count,
             cap=MAX_SWEEP_VERTICES,
         )
-    faces = _sorted_face_list(c.faces(d))
-    masks = [f.mask for f in faces]
-    adj = _column_adjacency(masks, d)
-    seen: set[int] = set()
-    for support in _kernel_supports(masks, cap):
-        for comp in _support_components(support, adj):
-            seen.add(comp)
-    for comp in sorted(seen, key=lambda m: (m.bit_count(), m)):
-        record = CycleRecord(d, frozenset(faces[j] for j in range(len(faces)) if comp >> j & 1))
-        vmask = record.vertex_mask
-        if orientable_mode:
-            if is_orientable(record, cap) is None:
-                continue
-            minimal = not any(
-                _orientable_cycle_within(c, d, vmask ^ (1 << v), cap)
-                for v in record.vertices
-            )
-        else:
-            minimal = all(
-                _nullity_within(c, d, vmask ^ (1 << v)) == 0 for v in record.vertices
-            )
-        if minimal and not record.is_complete():
+    faces = face_columns(c.faces(d))
+    for comp in cycle_supports([f.mask for f in faces], cap):
+        record = CycleRecord(d, faces_of(comp, faces))
+        if orientable_mode and is_orientable(record, cap) is None:
+            continue
+        if is_vertex_minimal(c, d, record.vertex_mask, orientable_mode, cap) and not record.is_complete():
             return False
     return True
 
@@ -496,7 +419,7 @@ def is_d_cycle_complete(
 def is_d_tree(c: Complex, d: int) -> bool:
     """Pure d-dimensional with no d-dimensional cycles (zero GF(2) cycle space)."""
     _require_pure(c, d, "is_d_tree")
-    return _nullity([f.mask for f in c.faces(d)]) == 0
+    return nullity([f.mask for f in c.faces(d)]) == 0
 
 
 def is_chorded(c: Complex, cap: int = DEFAULT_KERNEL_CAP) -> bool:

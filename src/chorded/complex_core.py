@@ -395,6 +395,21 @@ def _require_pure(c: Complex, d: int, op: str) -> frozenset[Face]:
     return c.faces(d)
 
 
+def _closure_level(level: set[int], n: int) -> set[int]:
+    """The sets on vertices below ``n`` all of whose one-smaller subsets lie in ``level``.
+
+    ``level`` holds sets of one size.  Each candidate is built once, from
+    the subset without its top vertex.
+    """
+    out: set[int] = set()
+    for m in level:
+        for v in range(m.bit_length(), n):
+            bit = 1 << v
+            if all(((m ^ (1 << u)) | bit) in level for u in _bits(m)):
+                out.add(m | bit)
+    return out
+
+
 def d_closure(c: Complex, d: int) -> Complex:
     """Close a pure d-dimensional complex under fully-supported larger faces.
 
@@ -402,22 +417,11 @@ def d_closure(c: Complex, d: int) -> Complex:
     every set S with |S| > d+1 all of whose (d+1)-subsets are d-faces of
     ``c``.  The d-faces of the result equal the d-faces of ``c``.
     """
-    dfaces = _require_pure(c, d, "d_closure")
-    dmasks = {f.mask for f in dfaces}
     n = c.vertex_count
-
-    # grow level by level: a (k+1)-set qualifies iff all its k-subsets did;
-    # each candidate is built once, from the subset without its top vertex
-    levels: list[set[int]] = [set(dmasks)]
+    # grow level by level: a (k+1)-set qualifies iff all its k-subsets did
+    levels: list[set[int]] = [{f.mask for f in _require_pure(c, d, "d_closure")}]
     while levels[-1]:
-        level = levels[-1]
-        nxt: set[int] = set()
-        for m in level:
-            for v in range(m.bit_length(), n):
-                bit = 1 << v
-                if all(((m ^ (1 << u)) | bit) in level for u in _bits(m)):
-                    nxt.add(m | bit)
-        levels.append(nxt)
+        levels.append(_closure_level(levels[-1], n))
 
     small = d if n >= d else n
     candidates: list[int] = [m for level in levels for m in level]

@@ -7,6 +7,12 @@ the d-th boundary map, which makes exhaustive enumeration possible: the
 kernel has 2^nullity vectors and we walk all of them (Gray-code order) under
 a configurable cap rather than using support-closure heuristics.
 
+``cycle_supports`` is the one enumeration of cycles on a face list, and
+``minimal_kernel_supports`` the one sieve for face-minimal cycles; both
+refuse with ``CapExceeded`` before any work when the kernel holds more
+than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).  Every other
+caller, here and in ``chordality``, goes through them.
+
 Face-minimality is intrinsic (no cycle on a strict subset of the d-faces)
 and equals "the restricted cycle space is one-dimensional".  Vertex
 minimality is relative to an ambient complex and is decided by sweeping the
@@ -19,10 +25,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import Iterator
 
 from .complex_core import Complex, Face
 from .errors import CapExceeded, InputError
-from .field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks, gf2_rref
+from .field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks, gf2_rref, gf2_span
 
 __all__ = [
     "CycleRecord",
@@ -102,44 +109,52 @@ class Partition:
 
 
 # ---------------------------------------------------------------------------
-# Internal mask-level helpers.  Columns index a sorted face list.
+# The GF(2) cycle-space core.  Columns index a face list in ``face_columns``
+# order; a set of columns is an int bitmask.
 
-def _sorted_face_list(faces) -> list[Face]:
+def face_columns(faces) -> list[Face]:
+    """Faces in column order: sorted by vertex tuple."""
     return sorted(faces, key=lambda f: f.vertices)
 
 
-def _incidence_rows(face_masks: list[int]) -> list[int]:
-    """GF(2) boundary rows: one row per (d-1)-subface, bits over columns."""
-    rows: dict[int, int] = {}
+def faces_within(c: Complex, d: int, wmask: int) -> list[Face]:
+    """The d-faces of ``c`` inside the vertex window ``wmask``, in column order."""
+    return face_columns(f for f in c.faces(d) if f.mask & ~wmask == 0)
+
+
+def faces_of(mask: int, faces: list[Face]) -> frozenset[Face]:
+    """The faces at the set bits of a column mask."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(faces[low.bit_length() - 1])
+        mask ^= low
+    return frozenset(out)
+
+
+def _subface_columns(face_masks: list[int]) -> dict[int, int]:
+    """(d-1)-subface -> bitmask of the columns containing it: the boundary rows."""
+    table: dict[int, int] = {}
     for j, m in enumerate(face_masks):
         bit = 1 << j
         mm = m
         while mm:
             low = mm & -mm
-            rows[m ^ low] = rows.get(m ^ low, 0) | bit
+            table[m ^ low] = table.get(m ^ low, 0) | bit
             mm ^= low
-    return [rows[k] for k in sorted(rows)]
+    return table
 
 
-def _column_adjacency(face_masks: list[int], d: int) -> list[int]:
-    """adj[j] = bitmask of columns sharing a (d-1)-subface with column j."""
-    groups: dict[int, int] = {}
-    for j, m in enumerate(face_masks):
-        mm = m
-        while mm:
-            low = mm & -mm
-            groups[m ^ low] = groups.get(m ^ low, 0) | (1 << j)
-            mm ^= low
-    adj = [0] * len(face_masks)
-    for members in groups.values():
+def _column_adjacency(subfaces: dict[int, int], ncols: int) -> list[int]:
+    """adj[j] = bitmask of the other columns sharing a (d-1)-subface with column j."""
+    adj = [0] * ncols
+    for members in subfaces.values():
         if members.bit_count() >= 2:
             mm = members
             while mm:
                 low = mm & -mm
-                adj[low.bit_length() - 1] |= members
+                adj[low.bit_length() - 1] |= members ^ low
                 mm ^= low
-    for j in range(len(face_masks)):
-        adj[j] &= ~(1 << j)
     return adj
 
 
@@ -166,30 +181,53 @@ def _support_components(support: int, adj: list[int]) -> list[int]:
     return comps
 
 
-def _nullity(face_masks: list[int]) -> int:
+def nullity(face_masks: list[int]) -> int:
+    """Dimension of the GF(2) cycle space on the given d-faces."""
     if not face_masks:
         return 0
-    _, pivots = gf2_rref(_incidence_rows(face_masks))
+    _, pivots = gf2_rref(list(_subface_columns(face_masks).values()))
     return len(face_masks) - len(pivots)
 
 
-def _kernel_supports(face_masks: list[int], cap: int) -> list[int]:
-    """All nonzero kernel vectors of the cycle space, as column bitmasks."""
-    if not face_masks:
-        return []
-    basis = gf2_kernel_masks(_incidence_rows(face_masks), len(face_masks))
+def _kernel_basis(subfaces: dict[int, int], ncols: int, cap: int) -> list[int]:
+    """A GF(2) cycle-space basis, refused when its span has more than ``cap`` vectors."""
+    basis = gf2_kernel_masks(list(subfaces.values()), ncols)
     if (1 << len(basis)) > cap:
         raise CapExceeded(
             f"cycle space has 2^{len(basis)} vectors, above cap {cap}",
             needed=1 << len(basis),
             cap=cap,
         )
-    out = []
-    cur = 0
-    for k in range(1, 1 << len(basis)):
-        cur ^= basis[(k & -k).bit_length() - 1]
-        out.append(cur)
-    return out
+    return basis
+
+
+def _cycle_walk(face_masks: list[int], cap: int) -> Iterator[int]:
+    """Each d-path component of the nonzero GF(2) kernel supports, once.
+
+    Yields column masks in the order the Gray-code walk first meets them,
+    so a search can stop early; the cap is checked on the first step.
+    """
+    if not face_masks:
+        return
+    subfaces = _subface_columns(face_masks)
+    basis = _kernel_basis(subfaces, len(face_masks), cap)
+    adj = _column_adjacency(subfaces, len(face_masks))
+    seen: set[int] = set()
+    for support in gf2_span(basis):
+        for comp in _support_components(support, adj):
+            if comp not in seen:
+                seen.add(comp)
+                yield comp
+
+
+def cycle_supports(face_masks: list[int], cap: int) -> list[int]:
+    """Every d-dimensional cycle on the given d-faces, as a column mask.
+
+    These are the distinct d-path components of all nonzero GF(2) kernel
+    supports, sorted by (size, mask).  Refuses with ``CapExceeded`` before
+    any work when the kernel has more than ``cap`` vectors.
+    """
+    return sorted(_cycle_walk(face_masks, cap), key=lambda m: (m.bit_count(), m))
 
 
 def minimal_kernel_supports(
@@ -204,24 +242,12 @@ def minimal_kernel_supports(
     """
     if not face_masks:
         return []
-    basis = gf2_kernel_masks(_incidence_rows(face_masks), len(face_masks))
-    if (1 << len(basis)) > cap:
-        raise CapExceeded(
-            f"cycle space has 2^{len(basis)} vectors, above cap {cap}",
-            needed=1 << len(basis),
-            cap=cap,
-        )
+    basis = _kernel_basis(_subface_columns(face_masks), len(face_masks), cap)
     if len(face_masks) <= 62 and len(basis) >= packed_threshold:
         return _minimal_supports_packed(basis)
-    vecs = []
-    cur = 0
-    for k in range(1, 1 << len(basis)):
-        cur ^= basis[(k & -k).bit_length() - 1]
-        vecs.append(cur)
-    vecs.sort(key=lambda v: (v.bit_count(), v))
     minimal: list[int] = []
     buckets: dict[int, list[int]] = {}
-    for v in vecs:
+    for v in sorted(gf2_span(basis), key=lambda v: (v.bit_count(), v)):
         contained = False
         mm = v
         while mm and not contained:
@@ -265,8 +291,34 @@ def _minimal_supports_packed(basis: list[int]) -> list[int]:
     return minimal
 
 
-def _faces_within(c: Complex, d: int, wmask: int) -> list[Face]:
-    return _sorted_face_list(f for f in c.faces(d) if f.mask & ~wmask == 0)
+@lru_cache(maxsize=65536)
+def _nullity_within(c: Complex, d: int, wmask: int) -> int:
+    return nullity([f.mask for f in c.faces(d) if f.mask & ~wmask == 0])
+
+
+@lru_cache(maxsize=16384)
+def _orientable_cycle_within(c: Complex, d: int, wmask: int, cap: int) -> bool:
+    """Whether some cycle with faces inside ``wmask`` is orientable."""
+    faces = faces_within(c, d, wmask)
+    return any(
+        is_orientable(CycleRecord(d, faces_of(comp, faces))) is not None
+        for comp in cycle_supports([f.mask for f in faces], cap)
+    )
+
+
+def is_vertex_minimal(
+    ambient: Complex, d: int, vmask: int, orientable: bool = False, cap: int = DEFAULT_KERNEL_CAP
+) -> bool:
+    """Whether no (orientable) d-cycle of ``ambient`` lies on a strict subset of ``vmask``.
+
+    Sweeps the maximal strict subsets, which suffices because a cycle on any
+    strict subset lies within one of them.
+    """
+    for v in Face(vmask).vertices:
+        sub = vmask ^ (1 << v)
+        if _orientable_cycle_within(ambient, d, sub, cap) if orientable else _nullity_within(ambient, d, sub):
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -278,14 +330,9 @@ def d_path_components(c: Complex, d: int) -> Partition:
     Two d-faces are adjacent when they share exactly d vertices, i.e. a
     common (d-1)-subface.
     """
-    faces = _sorted_face_list(c.faces(d))
-    masks = [f.mask for f in faces]
-    adj = _column_adjacency(masks, d)
-    full = (1 << len(faces)) - 1
-    comps = _support_components(full, adj) if faces else []
-    blocks = []
-    for comp in sorted(comps):
-        blocks.append(frozenset(faces[j] for j in range(len(faces)) if comp >> j & 1))
+    faces = face_columns(c.faces(d))
+    adj = _column_adjacency(_subface_columns([f.mask for f in faces]), len(faces))
+    blocks = [faces_of(comp, faces) for comp in _support_components((1 << len(faces)) - 1, adj)]
     blocks.sort(key=lambda b: tuple(sorted(f.vertices for f in b)))
     return Partition(tuple(blocks))
 
@@ -294,18 +341,11 @@ def is_d_dimensional_cycle(c: Complex, d: int) -> bool:
     """Pure of dimension d, d-path-connected, with even subface incidences."""
     if not c.facets or not c.is_pure(d):
         return False
-    faces = _sorted_face_list(c.faces(d))
-    masks = [f.mask for f in faces]
-    counts: dict[int, int] = {}
-    for m in masks:
-        mm = m
-        while mm:
-            low = mm & -mm
-            counts[m ^ low] = counts.get(m ^ low, 0) + 1
-            mm ^= low
-    if any(v & 1 for v in counts.values()):
+    masks = [f.mask for f in face_columns(c.faces(d))]
+    subfaces = _subface_columns(masks)
+    if any(members.bit_count() & 1 for members in subfaces.values()):
         return False
-    adj = _column_adjacency(masks, d)
+    adj = _column_adjacency(subfaces, len(masks))
     return len(_support_components((1 << len(masks)) - 1, adj)) == 1
 
 
@@ -332,54 +372,18 @@ def enumerate_cycles_within(
 ) -> list[CycleRecord]:
     """Every d-dimensional cycle whose faces lie in the subcomplex induced on ``w``.
 
-    Computed as the d-path-connected components of the supports of all
-    nonzero GF(2) kernel vectors of the induced pure skeleton's boundary
-    map, deduplicated; this enumeration is exhaustive for the cycles on
-    those faces.  ``w`` is an iterable of ambient vertex ids; records are in
-    ambient coordinates.
+    ``w`` is an iterable of ambient vertex ids; records are in ambient
+    coordinates, in ``CycleRecord.sort_key`` order.
     """
     wmask = 0
     for v in w:
         if not (0 <= v < c.vertex_count):
             raise InputError(f"unknown vertex id {v}")
         wmask |= 1 << v
-    faces = _faces_within(c, d, wmask)
-    masks = [f.mask for f in faces]
-    supports = _kernel_supports(masks, cap)
-    adj = _column_adjacency(masks, d)
-    seen: set[int] = set()
-    for s in supports:
-        for comp in _support_components(s, adj):
-            seen.add(comp)
-    records = [
-        CycleRecord(d, frozenset(faces[j] for j in range(len(faces)) if comp >> j & 1))
-        for comp in seen
-    ]
+    faces = faces_within(c, d, wmask)
+    records = [CycleRecord(d, faces_of(comp, faces)) for comp in cycle_supports([f.mask for f in faces], cap)]
     records.sort(key=CycleRecord.sort_key)
     return records
-
-
-@lru_cache(maxsize=65536)
-def _nullity_within(c: Complex, d: int, wmask: int) -> int:
-    return _nullity([f.mask for f in c.faces(d) if f.mask & ~wmask == 0])
-
-
-@lru_cache(maxsize=16384)
-def _orientable_cycle_within(c: Complex, d: int, wmask: int, cap: int) -> bool:
-    """Whether some cycle with faces inside ``wmask`` is orientable."""
-    faces = _faces_within(c, d, wmask)
-    masks = [f.mask for f in faces]
-    supports = _kernel_supports(masks, cap)
-    adj = _column_adjacency(masks, d)
-    seen: set[int] = set()
-    for s in supports:
-        for comp in _support_components(s, adj):
-            seen.add(comp)
-    for comp in sorted(seen, key=lambda m: (m.bit_count(), m)):
-        record = CycleRecord(d, frozenset(faces[j] for j in range(len(faces)) if comp >> j & 1))
-        if is_orientable(record) is not None:
-            return True
-    return False
 
 
 def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Face, int] | None:
@@ -391,7 +395,7 @@ def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Fac
     2; subfaces of higher incidence contribute balance constraints checked
     by a backtracking search over the remaining sign freedom.
     """
-    faces = _sorted_face_list(cycle.faces)
+    faces = face_columns(cycle.faces)
     k = len(faces)
     inc: dict[int, list[tuple[int, int]]] = {}
     for idx, f in enumerate(faces):
@@ -446,14 +450,8 @@ def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Fac
         collapsed.append(coeff)
 
     by_last_comp: list[list[dict[int, int]]] = [[] for _ in range(ncomp)]
-    free_constraints: list[dict[int, int]] = []
     for coeff in collapsed:
-        if coeff:
-            by_last_comp[max(coeff)].append(coeff)
-        else:
-            free_constraints.append(coeff)
-    # a constraint with no surviving component coefficients must already balance
-    del free_constraints  # sums of empty coefficient sets are zero by construction
+        by_last_comp[max(coeff)].append(coeff)
 
     signs = [0] * ncomp
 
@@ -486,14 +484,11 @@ def classify_minimality(
     variants enumerate the cycles actually present rather than shortcutting
     through the plain flags.
     """
-    face_masks = [f.mask for f in _sorted_face_list(cycle.faces)]
-    face_min = _nullity(face_masks) == 1
-
+    faces = face_columns(cycle.faces)
+    masks = [f.mask for f in faces]
     vmask = cycle.vertex_mask
-    vertex_min = all(
-        _nullity_within(ambient, cycle.dim, vmask ^ (1 << v)) == 0
-        for v in Face(vmask).vertices
-    )
+    face_min = nullity(masks) == 1
+    vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask)
 
     orientation = is_orientable(cycle, cap)
     orientable = orientation is not None
@@ -501,27 +496,12 @@ def classify_minimality(
     o_face_min: bool | None = None
     o_vertex_min: bool | None = None
     if orientable:
-        faces = _sorted_face_list(cycle.faces)
-        adj = _column_adjacency([f.mask for f in faces], cycle.dim)
         full = (1 << len(faces)) - 1
-        o_face_min = True
-        for support in _kernel_supports([f.mask for f in faces], cap):
-            if support == full:
-                continue
-            for comp in _support_components(support, adj):
-                sub = CycleRecord(
-                    cycle.dim,
-                    frozenset(faces[j] for j in range(len(faces)) if comp >> j & 1),
-                )
-                if is_orientable(sub, cap) is not None:
-                    o_face_min = False
-                    break
-            if not o_face_min:
-                break
-        o_vertex_min = not any(
-            _orientable_cycle_within(ambient, cycle.dim, vmask ^ (1 << v), cap)
-            for v in Face(vmask).vertices
+        o_face_min = not any(
+            comp != full and is_orientable(CycleRecord(cycle.dim, faces_of(comp, faces)), cap) is not None
+            for comp in _cycle_walk(masks, cap)
         )
+        o_vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask, True, cap)
 
     return replace(
         cycle,
@@ -541,15 +521,13 @@ def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partit
     remaining faces; the remainder stays a disjoint union of cycles, so the
     loop terminates with a full partition.
     """
-    remaining = _sorted_face_list(cycle.faces)
+    remaining = face_columns(cycle.faces)
     blocks: list[frozenset[Face]] = []
     while remaining:
-        masks = [f.mask for f in remaining]
-        supports = minimal_kernel_supports(masks, cap)
+        supports = minimal_kernel_supports([f.mask for f in remaining], cap)
         if not supports:
             raise InputError("input faces are not a disjoint union of cycles")
-        best = supports[0]
-        block = frozenset(remaining[j] for j in range(len(remaining)) if best >> j & 1)
+        block = faces_of(supports[0], remaining)
         blocks.append(block)
         remaining = [f for f in remaining if f not in block]
     blocks.sort(key=lambda b: tuple(sorted(f.vertices for f in b)))

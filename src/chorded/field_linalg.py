@@ -291,7 +291,7 @@ def _gf2_solve(rows: list[int], ncols: int, rhs_bits: int) -> int | None:
     return x
 
 
-def _iter_gray_masks(basis: list[int]) -> Iterator[int]:
+def gf2_span(basis: list[int]) -> Iterator[int]:
     """All nonzero XOR-combinations of basis vectors, Gray-code order."""
     cur = 0
     for k in range(1, 1 << len(basis)):
@@ -536,7 +536,7 @@ def enumerate_kernel_vectors(m: SparseMatrix, cap: int = DEFAULT_KERNEL_CAP) -> 
     ncols = m.ncols
 
     def _gen() -> Iterator[ChainVector]:
-        for mask in _iter_gray_masks(basis):
+        for mask in gf2_span(basis):
             yield ChainVector({labels[j]: 1 for j in range(ncols) if mask >> j & 1})
 
     return _gen()

@@ -44,8 +44,11 @@ from .corpus import (
 from .cycles import (
     CycleRecord,
     classify_minimality,
+    d_path_components,
     decompose_cycle,
     enumerate_cycles_within,
+    face_columns,
+    faces_of,
     is_d_dimensional_cycle,
     is_orientable,
     minimal_kernel_supports,
@@ -353,13 +356,11 @@ def verify_corpus(
     checks.append(chk)
     for i, c in enumerate(randoms[:50]):
         d = 2
-        faces = sorted(c.faces(d), key=lambda f: f.vertices)
+        faces = face_columns(c.faces(d))
         if c.vertex_count > 6 or not faces or len(faces) > 10:
             continue
         chk.tick()
-        masks = [f.mask for f in faces]
-        minimal = {frozenset(faces[j] for j in range(len(faces)) if s >> j & 1)
-                   for s in minimal_kernel_supports(masks, cap)}
+        minimal = {faces_of(s, faces) for s in minimal_kernel_supports([f.mask for f in faces], cap)}
         brute = _brute_force_face_minimal(c, d)
         if minimal != brute:
             chk.fail(random_index=i, complex=_complex_json(c))
@@ -394,15 +395,13 @@ def verify_corpus(
         attempts += 1
         c = _oracle_instance(rng)
         d = 2
-        face_list = sorted(c.faces(d), key=lambda f: f.vertices)
-        masks = [f.mask for f in face_list]
-        supports = minimal_kernel_supports(masks, cap)
+        face_list = face_columns(c.faces(d))
+        supports = minimal_kernel_supports([f.mask for f in face_list], cap)
         if not supports:
             continue
         produced += 1
         for s in supports:
-            rec = CycleRecord(d, frozenset(face_list[j] for j in range(len(face_list)) if s >> j & 1),
-                              face_minimal=True)
+            rec = CycleRecord(d, faces_of(s, face_list), face_minimal=True)
             if rec.is_complete():
                 continue
             chk.tick()
@@ -511,9 +510,9 @@ def verify_corpus(
             continue
         chk.tick()
         try:
-            if has_t_linear_resolution(ideal, d + 1, GF2).linear and not is_d_chorded(c, d, cap).chorded:
+            if has_t_linear_resolution(ideal, d + 1, GF2, cap).linear and not is_d_chorded(c, d, cap).chorded:
                 chk.fail(complex=name, clause="characteristic-2 linearity without d-chorded")
-            if any(has_t_linear_resolution(ideal, d + 1, f).linear for f in PROBE_FIELDS):
+            if any(has_t_linear_resolution(ideal, d + 1, f, cap).linear for f in PROBE_FIELDS):
                 if not is_d_cycle_complete(c, d, True, cap):
                     chk.fail(complex=name, clause="linearity without orientable cycle completeness")
         except CapExceeded:
@@ -527,8 +526,11 @@ def verify_corpus(
             chk.fail(tree_index=i, note="generator produced a non-tree")
             continue
         ideal = stanley_reisner_generators(d_closure(t, 2))
-        if not has_t_linear_resolution(ideal, 3, GF2).linear:
-            chk.fail(tree_index=i, complex=_complex_json(t))
+        try:
+            if not has_t_linear_resolution(ideal, 3, GF2, cap).linear:
+                chk.fail(tree_index=i, complex=_complex_json(t))
+        except CapExceeded:
+            chk.inconclusive += 1
 
     chk = _Check("skeleton_identity_through_ideal_components")
     checks.append(chk)
@@ -553,7 +555,7 @@ def verify_corpus(
             continue
         chk.tick()
         try:
-            if all(is_componentwise_linear(ideal, f).componentwise_linear for f in PROBE_FIELDS):
+            if all(is_componentwise_linear(ideal, f, cap).componentwise_linear for f in PROBE_FIELDS):
                 if not is_chorded(complex_of_ideal(ideal), cap):
                     chk.fail(complex=name)
         except CapExceeded:
@@ -639,23 +641,16 @@ def _nonboundary_cycle(c: Complex, d: int, cap: int) -> CycleRecord | None:
     for vec in kernel_basis(m, GF2):
         if in_image(up, vec, GF2) is not None:
             continue
-        faces = sorted(vec.support, key=lambda f: f.vertices)
-        masks = [f.mask for f in faces]
-        from .cycles import _column_adjacency, _support_components
-
-        adj = _column_adjacency(masks, d)
-        for comp in _support_components((1 << len(masks)) - 1, adj):
-            comp_faces = [faces[j] for j in range(len(masks)) if comp >> j & 1]
-            target = ChainVector({f: 1 for f in comp_faces})
-            if in_image(up, target, GF2) is None:
-                return CycleRecord(d, frozenset(comp_faces))
+        for block in d_path_components(Complex(c.vertex_count, vec.support), d).blocks:
+            if in_image(up, ChainVector({f: 1 for f in block}), GF2) is None:
+                return CycleRecord(d, block)
         raise AssertionError("non-boundary kernel vector with only boundary components")
     return None
 
 
 def _brute_force_face_minimal(c: Complex, d: int) -> set[frozenset[Face]]:
     """Independent oracle: scan all face subsets for minimal cycles."""
-    faces = sorted(c.faces(d), key=lambda f: f.vertices)
+    faces = face_columns(c.faces(d))
     cycles: list[frozenset[Face]] = []
     for size in range(1, len(faces) + 1):
         for combo in itertools.combinations(faces, size):

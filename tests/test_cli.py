@@ -260,3 +260,30 @@ def test_verify_corpus_violation_exit_code(monkeypatch):
     report, code = run_command(["verify-corpus"])
     assert code == 1
     assert report["result"]["all_passed"] is False
+
+
+def test_verify_corpus_hands_cap_to_linear_resolution_checks(monkeypatch):
+    import inspect
+
+    import chorded.verify as verify_mod
+
+    cap = (1 << 20) - 7
+    seen = []
+
+    def spy(fn):
+        signature = inspect.signature(fn)
+
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((fn.__name__, bound.arguments["cap"]))
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("has_t_linear_resolution", "is_componentwise_linear"):
+        monkeypatch.setattr(verify_mod, name, spy(getattr(verify_mod, name)))
+    body = verify_mod.verify_corpus(seed=7, cap=cap, random_instances=8, oracle_instances=4)
+    assert body["cap"] == cap
+    assert {name for name, _ in seen} == {"has_t_linear_resolution", "is_componentwise_linear"}
+    assert all(got == cap for _, got in seen)
