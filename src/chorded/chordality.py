@@ -12,7 +12,7 @@ definition, so a fully passing complex really is d-chorded; conversely, in a
 d-chorded complex every cycle's face sum bounds in the closure, so the
 complex-level verdict is exact even though a single cycle can own a chord
 set whose witnesses are not complete cycles.  The tiny exhaustive searcher
-exists to cross-validate the two routes and is gated to small instances.
+exists to cross-validate the two routes and is bounded by the caller's cap.
 
 Cap overruns always surface as ``CapExceeded`` (inconclusive), never as a
 negative verdict.
@@ -52,12 +52,7 @@ __all__ = [
     "is_d_tree",
     "is_chorded",
     "chordality_report",
-    "MAX_CHORD_CANDIDATES",
-    "MAX_SWEEP_VERTICES",
 ]
-
-MAX_CHORD_CANDIDATES = 12
-MAX_SWEEP_VERTICES = 16
 
 
 @dataclass(frozen=True)
@@ -270,7 +265,6 @@ def exhaustive_chord_set_search(
     cycle: CycleRecord,
     ambient: Complex,
     cap: int = DEFAULT_KERNEL_CAP,
-    max_candidates: int = MAX_CHORD_CANDIDATES,
 ) -> ChordSetRecord | None:
     """Directly search chord subsets and witness covers; tiny instances only.
 
@@ -279,6 +273,8 @@ def exhaustive_chord_set_search(
     enumerates every cycle supported on the cycle's faces plus the chords,
     keeps those on strictly fewer vertices, and looks for a sub-collection
     whose GF(2) face sum matches the cycle with all chords covered.
+    Refuses with ``CapExceeded`` before any search when the 2^k subsets of
+    the k candidate chords exceed ``cap``.
     """
     d = cycle.dim
     _require_pure(ambient, d, "exhaustive_chord_set_search")
@@ -286,12 +282,9 @@ def exhaustive_chord_set_search(
         raise InputError("exhaustive_chord_set_search expects a non-d-complete cycle")
     wmask = cycle.vertex_mask
     candidates = [f for f in faces_within(ambient, d, wmask) if f not in cycle.faces]
-    if len(candidates) > max_candidates:
-        raise CapExceeded(
-            f"{len(candidates)} candidate chords exceed the exhaustive-search bound {max_candidates}",
-            needed=len(candidates),
-            cap=max_candidates,
-        )
+    k = len(candidates)
+    if 1 << k > cap:
+        raise CapExceeded(f"exhaustive chord search over 2^{k} chord sets", 1 << k, cap)
 
     nverts = len(cycle.vertices)
 
@@ -400,12 +393,6 @@ def is_d_cycle_complete(
 ) -> bool:
     """Whether all (orientably-)vertex-minimal cycles are d-complete."""
     _require_pure(c, d, "is_d_cycle_complete")
-    if c.vertex_count > MAX_SWEEP_VERTICES:
-        raise CapExceeded(
-            f"vertex-subset sweeps limited to {MAX_SWEEP_VERTICES} vertices",
-            needed=c.vertex_count,
-            cap=MAX_SWEEP_VERTICES,
-        )
     faces = face_columns(c.faces(d))
     for comp in cycle_supports([f.mask for f in faces], cap):
         record = CycleRecord(d, faces_of(comp, faces))

@@ -340,7 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--field", default="gf2", help="gf2, gf<p> or q")
         if "cap" in needs:
             p.add_argument("--cap", type=int, default=DEFAULT_KERNEL_CAP,
-                           help="work cap: kernel vectors, or windows per linear-resolution sweep (default 2^20)")
+                           help="the one work cap, checked before an enumeration starts: kernel vectors, "
+                                "sign choices, chord subsets, or for linres and componentwise the vertex sets "
+                                "of at least t-1 elements (default 2^20)")
         if "t" in needs:
             p.add_argument("-t", type=int, required=True, dest="t",
                            help="target linearity degree")

@@ -89,15 +89,6 @@ class Face:
     def issubset(self, other: "Face") -> bool:
         return self.mask & ~other.mask == 0
 
-    def union(self, other: "Face") -> "Face":
-        return Face(self.mask | other.mask)
-
-    def intersection(self, other: "Face") -> "Face":
-        return Face(self.mask & other.mask)
-
-    def difference(self, other: "Face") -> "Face":
-        return Face(self.mask & ~other.mask)
-
     def without(self, vertex: int) -> "Face":
         if not self.mask >> vertex & 1:
             raise InputError(f"vertex {vertex} not in face {self.vertices}")
@@ -186,10 +177,6 @@ class Complex:
     def dim(self) -> int:
         return max((f.dim for f in self.facets), default=-1)
 
-    @property
-    def vertices_mask(self) -> int:
-        return (1 << self.vertex_count) - 1
-
     def is_pure(self, d: int | None = None) -> bool:
         dims = {f.dim for f in self.facets}
         if d is None:
@@ -220,11 +207,6 @@ class Complex:
         result = frozenset(Face(m) for m in found)
         self._face_cache[i] = result
         return result
-
-    def contains_face(self, face: Face) -> bool:
-        if face.mask == 0:
-            return True
-        return any(face.issubset(g) for g in self.facets)
 
     def label_set(self, face: Face) -> tuple[str, ...]:
         return tuple(self.labels[v] for v in face.vertices)
@@ -461,18 +443,13 @@ def stanley_reisner_generators(c: Complex) -> MonomialIdeal:
     ideal.
     """
     n = c.vertex_count
-    gens: list[Face] = []
-    # minimal non-faces have size at most dim(c) + 2
+    gens: list[int] = []
+    # minimal non-faces have size at most dim(c) + 2; those of size k are the
+    # non-faces among the closure candidates over the (k-2)-faces
     for size in range(1, min(n, c.dim + 2) + 1):
-        faces_below = {f.mask for f in c.faces(size - 2)} if size >= 2 else None
         faces_here = {f.mask for f in c.faces(size - 1)}
-        for combo in itertools.combinations(range(n), size):
-            m = _mask_of(combo)
-            if m in faces_here:
-                continue
-            if size == 1 or all((m ^ (1 << v)) in faces_below for v in combo):
-                gens.append(Face(m))
-    return MonomialIdeal(n, gens, c.labels)
+        gens.extend(m for m in _closure_level({f.mask for f in c.faces(size - 2)}, n) if m not in faces_here)
+    return MonomialIdeal(n, (Face(m) for m in gens), c.labels)
 
 
 def facet_ideal_generators(c: Complex) -> MonomialIdeal:

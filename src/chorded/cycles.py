@@ -80,9 +80,6 @@ class CycleRecord:
     def sort_key(self) -> tuple:
         return (len(self.faces), tuple(sorted(f.vertices for f in self.faces)))
 
-    def orientation_map(self) -> dict[Face, int] | None:
-        return None if self.orientation is None else dict(self.orientation)
-
 
 @dataclass(frozen=True)
 class Partition:
@@ -301,7 +298,7 @@ def _orientable_cycle_within(c: Complex, d: int, wmask: int, cap: int) -> bool:
     """Whether some cycle with faces inside ``wmask`` is orientable."""
     faces = faces_within(c, d, wmask)
     return any(
-        is_orientable(CycleRecord(d, faces_of(comp, faces))) is not None
+        is_orientable(CycleRecord(d, faces_of(comp, faces)), cap) is not None
         for comp in cycle_supports([f.mask for f in faces], cap)
     )
 

@@ -1,16 +1,18 @@
 """Exact linear algebra over GF(2), GF(p) for small odd primes, and QQ.
 
 GF(2) matrices are manipulated as rows of Python ints used as bitmasks, so
-row elimination is word-parallel XOR.  GF(p) and rational eliminations are
-dense with plain modular ints / ``fractions.Fraction``, except ``sparse_rank``,
-which ranks sparse integer vectors mod p or by integer Bareiss elimination; no
-floating point appears anywhere.  The pivot rule is fixed (scan columns left to right, take
-the first remaining row with a nonzero entry), which makes ranks, kernel
-bases, preimages and enumeration orders reproducible for a fixed input.
+row elimination is word-parallel XOR.  Ranks over GF(p) and QQ come from
+``sparse_rank``, which ranks sparse integer vectors mod p or by integer
+Bareiss elimination; kernel bases and preimages use dense elimination with
+plain modular ints / ``fractions.Fraction``.  No floating point appears
+anywhere.  The pivot rule is fixed (scan columns left to right, take the
+first remaining row with a nonzero entry), which makes ranks, kernel bases,
+preimages and enumeration orders reproducible for a fixed input.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Hashable, Iterator
@@ -430,14 +432,14 @@ def rank(m: SparseMatrix, f: FieldSpec) -> int:
     if f.kind == "gf2":
         _, pivots = gf2_rref(m.gf2_rows())
         return len(pivots)
-    if m.nrows == 0 or m.ncols == 0:
-        return 0
-    if f.kind == "rational":
-        rows = m.dense_rows(f)
-        if all(v.denominator == 1 for row in rows for v in row):
-            return _int_rank_bareiss([[int(v) for v in row] for row in rows])
-    _, pivots = _dense_rref(m.dense_rows(f), f)
-    return len(pivots)
+    if f.kind == "gfp":
+        return sparse_rank(m.columns, f.p)
+    # scaling a column by the lcm of its denominators clears them and keeps the rank
+    columns = []
+    for col in m.columns:
+        scale = math.lcm(*(v.denominator for _, v in col))
+        columns.append(tuple((r, int(v * scale)) for r, v in col))
+    return sparse_rank(columns)
 
 
 def kernel_basis(m: SparseMatrix, f: FieldSpec) -> list[ChainVector]:

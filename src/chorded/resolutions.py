@@ -52,11 +52,9 @@ __all__ = [
     "degree_component",
     "is_componentwise_linear",
     "PROBE_FIELDS",
-    "MAX_LINRES_VARIABLES",
 ]
 
 PROBE_FIELDS: tuple[FieldSpec, ...] = (GF2, gfp(3), RATIONAL)
-MAX_LINRES_VARIABLES = 20
 CERTIFICATE_PRIME = 2147483647  # 2^31 - 1: rational vanishing is certified by ranks mod this prime
 
 
@@ -94,30 +92,38 @@ def min_generation_degree(i: MonomialIdeal) -> int | None:
     d-closure of that complex's pure d-skeleton; this identity is asserted.
     The zero ideal is rejected.
     """
-    return _uniform_degree_complex(i)[0]
+    t = _generation_degree(i)
+    if t is not None:
+        _uniform_degree_complex(i, t)
+    return t
 
 
-def _uniform_degree_complex(i: MonomialIdeal) -> tuple[int | None, Complex | None]:
-    """``min_generation_degree`` together with the complex its assertion built."""
+def _generation_degree(i: MonomialIdeal) -> int | None:
     if i.is_zero:
         raise InputError("the zero ideal has no generation degree")
     degrees = i.degrees()
-    if len(degrees) != 1:
-        return None, None
-    t = next(iter(degrees))
-    d = t - 1
+    return next(iter(degrees)) if len(degrees) == 1 else None
+
+
+def _uniform_degree_complex(i: MonomialIdeal, t: int) -> Complex:
+    """The complex of an ideal generated in degree t, asserted to be a (t-1)-closure."""
     c = complex_of_ideal(i)
-    if c != d_closure(pure_skeleton(c, d), d):
+    if c != d_closure(pure_skeleton(c, t - 1), t - 1):
         raise AssertionError("uniform-degree ideal whose complex is not the closure of its skeleton")
-    return t, c
+    return c
 
 
-def _check_window_cap(n: int, t: int, cap: int) -> None:
-    """Refuse a degree-t sweep on n variables that would examine more than ``cap`` windows."""
-    needed = sum(math.comb(n, k) for k in range(t + 2, n + 1))  # the windows of more than t+1 vertices
+def _check_sweep_cap(n: int, t: int, cap: int) -> None:
+    """Refuse a degree-t sweep on n variables when more than ``cap`` vertex sets have t-1 or more elements.
+
+    Every face the sweep indexes and every window it visits is such a set,
+    so the check bounds the sweep's time and memory before the ideal's
+    complex is built.
+    """
+    needed = sum(math.comb(n, k) for k in range(max(t - 1, 0), n + 1))
     if needed > cap:
         raise CapExceeded(
-            f"linear-resolution sweep needs {needed} windows, above cap {cap}",
+            f"linear-resolution sweep needs {needed} vertex sets, above cap {cap}",
             needed=needed,
             cap=cap,
         )
@@ -131,20 +137,15 @@ def has_t_linear_resolution(
     Linear iff every induced subcomplex of the ideal's complex has zero
     reduced homology in all degrees other than t-2.  Subsets are visited by
     increasing size then lexicographically; the first failure becomes the
-    witness.  ``CapExceeded`` is raised before any window is examined when
-    the sweep would examine more than ``cap`` windows.
+    witness.  ``CapExceeded`` is raised before the ideal's complex is built
+    when more than ``cap`` vertex sets have t-1 or more elements: the faces
+    the sweep indexes and the windows it visits are all among them.
     """
-    if i.variable_count > MAX_LINRES_VARIABLES:
-        raise CapExceeded(
-            f"linear-resolution sweep limited to {MAX_LINRES_VARIABLES} variables",
-            needed=i.variable_count,
-            cap=MAX_LINRES_VARIABLES,
-        )
-    got, c = _uniform_degree_complex(i)
+    got = _generation_degree(i)
     if got != t:
         raise InputError(f"ideal is minimally generated in degree {got}, not {t}")
-    _check_window_cap(i.variable_count, t, cap)
-    witness = _first_nonvanishing(c, t, f)
+    _check_sweep_cap(i.variable_count, t, cap)
+    witness = _first_nonvanishing(_uniform_degree_complex(i, t), t, f)
     return ResolutionVerdict(t, f, witness is None, witness)
 
 
@@ -243,19 +244,14 @@ def degree_component(i: MonomialIdeal, d: int) -> MonomialIdeal:
 def is_componentwise_linear(i: MonomialIdeal, f: FieldSpec, cap: int = DEFAULT_KERNEL_CAP) -> ComponentVerdict:
     """Test every nonzero square-free degree component for a linear resolution.
 
-    ``cap`` bounds the windows of each component's sweep; it is checked for
-    the largest sweep before any component is built.
+    ``cap`` bounds each component's sweep as in ``has_t_linear_resolution``;
+    it is checked for the largest sweep, of the lowest degree, before any
+    component is built.
     """
     if i.is_zero:
         raise InputError("the zero ideal has no components to test")
-    if i.variable_count > MAX_LINRES_VARIABLES:
-        raise CapExceeded(
-            f"componentwise sweep limited to {MAX_LINRES_VARIABLES} variables",
-            needed=i.variable_count,
-            cap=MAX_LINRES_VARIABLES,
-        )
     start = min(i.degrees())
-    _check_window_cap(i.variable_count, start, cap)
+    _check_sweep_cap(i.variable_count, start, cap)
     per_degree = []
     for d in range(start, i.variable_count + 1):
         component = degree_component(i, d)

@@ -262,14 +262,46 @@ def test_per_cycle_routes_can_diverge_on_larger_ambients():
 
 
 def test_cycle_complete_vertex_sweep_cap():
-    big = path_graph(17)
-    with pytest.raises(CapExceeded):
-        is_d_cycle_complete(big, 1)
+    # the vertex count bounds nothing: a 17-vertex path has no cycles at all
+    assert is_d_cycle_complete(path_graph(17), 1)
+    with pytest.raises(CapExceeded) as err:
+        is_d_cycle_complete(cycle_graph(5), 1, cap=1)  # a kernel of 2^1 vectors
+    assert (err.value.needed, err.value.cap) == (2, 1)
 
 
 def test_exhaustive_search_candidate_cap():
     # a bipyramid inside the complete skeleton sees four candidate chords
     dense = complete_skeleton(6, 2)
     omega = cycle_from_complex(bipyramid(), 2)
-    with pytest.raises(CapExceeded):
-        exhaustive_chord_set_search(omega, dense, max_candidates=2)
+    with pytest.raises(CapExceeded) as err:
+        exhaustive_chord_set_search(omega, dense, cap=8)
+    assert (err.value.needed, err.value.cap) == (16, 8)
+
+
+def test_cycle_complete_hands_cap_to_every_orientability_search(monkeypatch):
+    import inspect
+
+    from chorded import chordality as chordality_mod
+    from chorded import cycles as cycles_mod
+
+    cap = (1 << 20) - 3
+    original = cycles_mod.is_orientable
+    signature = inspect.signature(original)
+    seen = []
+
+    def spy(home):
+        def wrapper(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            seen.append((home, bound.arguments["cap"]))
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(chordality_mod, "is_orientable", spy("chordality"))
+    monkeypatch.setattr(cycles_mod, "is_orientable", spy("cycles"))
+    cycles_mod._orientable_cycle_within.cache_clear()
+    # the 8-face union cycle's vertex-minimality sweep meets each tetrahedron
+    assert is_d_cycle_complete(glued_tetrahedra(), 2, True, cap)
+    assert {home for home, _ in seen} == {"chordality", "cycles"}
+    assert all(got == cap for _, got in seen)

@@ -121,7 +121,7 @@ def test_window_cap_is_checked_before_the_sweep():
     with pytest.raises(CapExceeded) as err:
         has_t_linear_resolution(ideal, 3, GF2, cap=1)
     assert err.value.cap == 1
-    assert err.value.needed == 7  # the windows of 5 and 6 vertices
+    assert err.value.needed == 57  # the vertex sets of 2 to 6 of the 6 vertices
     with pytest.raises(CapExceeded):
         is_componentwise_linear(ideal, GF2, cap=1)
-    assert has_t_linear_resolution(ideal, 3, GF2, cap=7) == has_t_linear_resolution(ideal, 3, GF2)
+    assert has_t_linear_resolution(ideal, 3, GF2, cap=57) == has_t_linear_resolution(ideal, 3, GF2)

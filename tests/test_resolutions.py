@@ -97,6 +97,27 @@ def test_linres_variable_cap():
         has_t_linear_resolution(ideal, 2, GF2)
 
 
+def test_linres_many_variables_within_cap():
+    # 254 vertex sets of 20 or more of the 22 variables: no limit on n itself
+    ideal = MonomialIdeal(22, [Face.of(range(21))])
+    assert has_t_linear_resolution(ideal, 21, GF2).linear
+    assert is_componentwise_linear(ideal, GF2).componentwise_linear
+
+
+def test_refused_sweep_never_builds_the_complex(monkeypatch):
+    from chorded import resolutions
+
+    def forbidden(i):
+        raise AssertionError("complex_of_ideal called by a refused sweep")
+
+    monkeypatch.setattr(resolutions, "complex_of_ideal", forbidden)
+    ideal = facet_ideal_generators(cycle_graph(5))
+    with pytest.raises(CapExceeded):
+        has_t_linear_resolution(ideal, 2, GF2, cap=30)
+    with pytest.raises(CapExceeded):
+        is_componentwise_linear(ideal, GF2, cap=30)
+
+
 def test_degree_component_examples():
     c5_ideal = facet_ideal_generators(cycle_graph(5))
     assert degree_component(c5_ideal, 2) == c5_ideal
