@@ -21,10 +21,11 @@ negative verdict.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .complex_core import Complex, Face, _closure_level, _require_pure
+from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
 from .cycles import (
     CycleRecord,
     cycle_supports,
@@ -159,28 +160,24 @@ def verify_chord_set(
 @lru_cache(maxsize=32768)
 def _window_solver(
     ambient: Complex, d: int, wmask: int
-) -> tuple[tuple[Face, ...], tuple[Face, ...], dict[int, tuple[int, int]]]:
+) -> tuple[tuple[Face, ...], dict[int, int], dict[int, tuple[int, int]]]:
     """Reusable GF(2) boundary-membership solver for one vertex window.
 
-    Returns the window's d-faces, the closure's (d+1)-faces, and a reduced
-    row basis of the boundary image: a map from pivot bit to
-    ``(row_mask, tracking_mask)`` where ``row_mask`` is a combination of
-    boundary columns over the d-face index space and ``tracking_mask``
-    records which (d+1)-faces were combined into it.
+    Returns the closure's (d+1)-faces, the column of each window d-face
+    (keyed by face mask), and a reduced row basis of the boundary image: a
+    map from pivot bit to ``(row_mask, tracking_mask)`` where ``row_mask``
+    is a combination of boundary columns over the d-face index space and
+    ``tracking_mask`` records which (d+1)-faces were combined into it.
     """
-    faces = tuple(faces_within(ambient, d, wmask))
-    face_pos = {f: i for i, f in enumerate(faces)}
+    column = {f.mask: i for i, f in enumerate(faces_within(ambient, d, wmask))}
     # the window closure's (d+1)-faces: the sets whose (d+1)-subsets are all window d-faces
-    top_masks = _closure_level({f.mask for f in faces}, ambient.vertex_count)
-    tops = tuple(face_columns(Face(m) for m in top_masks))
-    rows: list[tuple[int, int]] = []
+    tops = tuple(face_columns(Face(m) for m in _closure_level(column.keys(), ambient.vertex_count)))
+    pivot_map: dict[int, tuple[int, int]] = {}
     for j, g in enumerate(tops):
         m = 0
         for v in g.vertices:
-            m |= 1 << face_pos[g.without(v)]
-        rows.append((m, 1 << j))
-    pivot_map: dict[int, tuple[int, int]] = {}
-    for m, track in rows:
+            m |= 1 << column[g.mask ^ (1 << v)]
+        track = 1 << j
         while m:
             low = m & -m
             hit = pivot_map.get(low)
@@ -189,22 +186,21 @@ def _window_solver(
                 break
             m ^= hit[0]
             track ^= hit[1]
-    return faces, tops, pivot_map
+    return tops, column, pivot_map
 
 
 def _window_boundary_preimage(
-    ambient: Complex, d: int, wmask: int, cycle_faces
+    ambient: Complex, d: int, wmask: int, face_masks
 ) -> tuple[int, tuple[Face, ...]] | None:
-    """Preimage of a face sum under the window solver, or None.
+    """Preimage of a sum of d-faces (given by mask) under the window solver, or None.
 
     Returns ``(top_mask, tops)`` identifying which closure (d+1)-faces sum
     to the given d-faces.
     """
-    faces, tops, pivot_map = _window_solver(ambient, d, wmask)
-    face_pos = {f: i for i, f in enumerate(faces)}
+    tops, column, pivot_map = _window_solver(ambient, d, wmask)
     rhs = 0
-    for f in cycle_faces:
-        rhs |= 1 << face_pos[f]
+    for m in face_masks:
+        rhs |= 1 << column[m]
     acc = 0
     while rhs:
         low = rhs & -rhs
@@ -214,6 +210,14 @@ def _window_boundary_preimage(
         rhs ^= hit[0]
         acc ^= hit[1]
     return acc, tops
+
+
+def _vertex_mask(cols, masks: list[int]) -> int:
+    """The vertex set of the faces at the given columns."""
+    vmask = 0
+    for j in cols:
+        vmask |= masks[j]
+    return vmask
 
 
 def _complete_cycle_on(vertex_mask: int, d: int) -> CycleRecord:
@@ -242,7 +246,7 @@ def boundary_chord_test(
     if nullity([f.mask for f in cycle.faces]) != 1:
         raise InputError("boundary_chord_test expects a face-minimal cycle")
 
-    solved = _window_boundary_preimage(ambient, d, cycle.vertex_mask, cycle.faces)
+    solved = _window_boundary_preimage(ambient, d, cycle.vertex_mask, [f.mask for f in cycle.faces])
     if solved is None:
         return None
     top_mask, tops = solved
@@ -358,33 +362,32 @@ def is_d_chorded(
     """
     _require_pure(c, d, "is_d_chorded")
     faces = face_columns(c.faces(d))
+    masks = [f.mask for f in faces]
     complete_count = 0
-    checked: list[CycleRecord] = []
-    failing: list[CycleRecord] = []
-    for support in minimal_kernel_supports([f.mask for f in faces], cap):
-        record = CycleRecord(d, faces_of(support, faces), face_minimal=True)
-        if record.is_complete():
+    # (sort key, support, whether its face sum bounds): columns follow the
+    # vertex-tuple order, so (size, column tuple) is CycleRecord.sort_key order
+    cycles: list[tuple[tuple, int, bool]] = []
+    for support in minimal_kernel_supports(masks, cap):
+        cols = tuple(_bits(support))
+        vmask = _vertex_mask(cols, masks)
+        if len(cols) == math.comb(vmask.bit_count(), d + 1):
             complete_count += 1
             continue
-        if _window_boundary_preimage(c, d, record.vertex_mask, record.faces) is None:
-            failing.append(record)
-        else:
-            checked.append(record)
-    checked.sort(key=CycleRecord.sort_key)
-    failing.sort(key=CycleRecord.sort_key)
+        bounds = _window_boundary_preimage(c, d, vmask, [masks[j] for j in cols]) is not None
+        cycles.append(((len(cols), cols), support, bounds))
+    cycles.sort()
+    failing = [entry for entry in cycles if not entry[2]]
+    shown = [entry for entry in cycles if entry[2]][:certificate_limit] + failing
     certificates: list[tuple[CycleRecord, ChordSetRecord | None]] = []
-    budget = len(checked) if certificate_limit is None else certificate_limit
-    for record in checked[:budget]:
-        certificates.append((record, boundary_chord_test(record, c, cap)))
-    for record in failing:
-        certificates.append((record, None))
-    certificates.sort(key=lambda pair: pair[0].sort_key())
+    for _, support, bounds in sorted(shown):
+        record = CycleRecord(d, faces_of(support, faces), face_minimal=True)
+        certificates.append((record, boundary_chord_test(record, c, cap) if bounds else None))
     return DChordedResult(
         d,
         not failing,
         tuple(certificates),
         complete_count,
-        non_complete_cycles=len(checked) + len(failing),
+        non_complete_cycles=len(cycles),
     )
 
 
@@ -394,11 +397,13 @@ def is_d_cycle_complete(
     """Whether all (orientably-)vertex-minimal cycles are d-complete."""
     _require_pure(c, d, "is_d_cycle_complete")
     faces = face_columns(c.faces(d))
-    for comp in cycle_supports([f.mask for f in faces], cap):
-        record = CycleRecord(d, faces_of(comp, faces))
-        if orientable_mode and is_orientable(record, cap) is None:
+    masks = [f.mask for f in faces]
+    for comp in cycle_supports(masks, cap):
+        if orientable_mode and is_orientable(CycleRecord(d, faces_of(comp, faces)), cap) is None:
             continue
-        if is_vertex_minimal(c, d, record.vertex_mask, orientable_mode, cap) and not record.is_complete():
+        vmask = _vertex_mask(_bits(comp), masks)
+        complete = comp.bit_count() == math.comb(vmask.bit_count(), d + 1)
+        if is_vertex_minimal(c, d, vmask, orientable_mode, cap) and not complete:
             return False
     return True
 

@@ -8,10 +8,11 @@ kernel has 2^nullity vectors and we walk all of them (Gray-code order) under
 a configurable cap rather than using support-closure heuristics.
 
 ``cycle_supports`` is the one enumeration of cycles on a face list, and
-``minimal_kernel_supports`` the one sieve for face-minimal cycles; both
-refuse with ``CapExceeded`` before any work when the kernel holds more
-than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).  Every other
-caller, here and in ``chordality``, goes through them.
+``minimal_kernel_supports`` the one sieve for face-minimal cycles: a numpy
+sieve over the kernel span packed into 64-bit words, for any number of
+faces.  Both refuse with ``CapExceeded`` before any work when the kernel
+holds more than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).
+Every other caller, here and in ``chordality``, goes through them.
 
 Face-minimality is intrinsic (no cycle on a strict subset of the d-faces)
 and equals "the restricted cycle space is one-dimensional".  Vertex
@@ -186,29 +187,24 @@ def nullity(face_masks: list[int]) -> int:
     return len(face_masks) - len(pivots)
 
 
-def _kernel_basis(subfaces: dict[int, int], ncols: int, cap: int) -> list[int]:
-    """A GF(2) cycle-space basis, refused when its span has more than ``cap`` vectors."""
-    basis = gf2_kernel_masks(list(subfaces.values()), ncols)
+def _check_span(basis: list[int], cap: int) -> None:
+    """Refuse a cycle-space basis whose span has more than ``cap`` vectors."""
     if (1 << len(basis)) > cap:
         raise CapExceeded(
             f"cycle space has 2^{len(basis)} vectors, above cap {cap}",
             needed=1 << len(basis),
             cap=cap,
         )
-    return basis
 
 
-def _cycle_walk(face_masks: list[int], cap: int) -> Iterator[int]:
-    """Each d-path component of the nonzero GF(2) kernel supports, once.
+def _cycle_walk(subfaces: dict[int, int], basis: list[int], ncols: int, cap: int) -> Iterator[int]:
+    """Each d-path component of the nonzero supports spanned by ``basis``, once.
 
     Yields column masks in the order the Gray-code walk first meets them,
     so a search can stop early; the cap is checked on the first step.
     """
-    if not face_masks:
-        return
-    subfaces = _subface_columns(face_masks)
-    basis = _kernel_basis(subfaces, len(face_masks), cap)
-    adj = _column_adjacency(subfaces, len(face_masks))
+    _check_span(basis, cap)
+    adj = _column_adjacency(subfaces, ncols)
     seen: set[int] = set()
     for support in gf2_span(basis):
         for comp in _support_components(support, adj):
@@ -224,67 +220,55 @@ def cycle_supports(face_masks: list[int], cap: int) -> list[int]:
     supports, sorted by (size, mask).  Refuses with ``CapExceeded`` before
     any work when the kernel has more than ``cap`` vectors.
     """
-    return sorted(_cycle_walk(face_masks, cap), key=lambda m: (m.bit_count(), m))
+    if not face_masks:
+        return []
+    subfaces = _subface_columns(face_masks)
+    basis = gf2_kernel_masks(list(subfaces.values()), len(face_masks))
+    return sorted(_cycle_walk(subfaces, basis, len(face_masks), cap), key=lambda m: (m.bit_count(), m))
 
 
-def minimal_kernel_supports(
-    face_masks: list[int], cap: int, packed_threshold: int = 12
-) -> list[int]:
+def _popcount(words):
+    """Per-element bit counts of a uint64 array."""
+    import numpy as np
+
+    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+def minimal_kernel_supports(face_masks: list[int], cap: int) -> list[int]:
     """Inclusion-minimal nonzero kernel supports (the face-minimal cycles).
 
     Sorted by support size then column order; each is automatically
-    d-path-connected.  Kernels with at least ``packed_threshold`` basis
-    vectors go through a vectorized sieve when the supports fit in one
-    machine word, since the kernel can hold 2^20 vectors.
+    d-path-connected.  The kernel span, up to ``cap`` vectors, is packed
+    into one uint64 array per 64 columns and ordered by (popcount, mask);
+    the first remaining vector is then always a circuit, and the sieve drops
+    every vector containing it, i.e. every vector that misses none of its
+    bits in any word.
     """
-    if not face_masks:
-        return []
-    basis = _kernel_basis(_subface_columns(face_masks), len(face_masks), cap)
-    if len(face_masks) <= 62 and len(basis) >= packed_threshold:
-        return _minimal_supports_packed(basis)
-    minimal: list[int] = []
-    buckets: dict[int, list[int]] = {}
-    for v in sorted(gf2_span(basis), key=lambda v: (v.bit_count(), v)):
-        contained = False
-        mm = v
-        while mm and not contained:
-            low = mm & -mm
-            for c in buckets.get(low, ()):
-                if c & ~v == 0:
-                    contained = True
-                    break
-            mm ^= low
-        if not contained:
-            minimal.append(v)
-            buckets.setdefault(v & -v, []).append(v)
-    return minimal
-
-
-def _minimal_supports_packed(basis: list[int]) -> list[int]:
-    """Vectorized minimal-support sieve over word-sized kernel vectors."""
     import numpy as np
 
-    arr = np.zeros(1, dtype=np.uint64)
-    for b in basis:
-        arr = np.concatenate([arr, arr ^ np.uint64(b)])
-    arr = arr[1:]
-    x = arr.copy()
-    m1 = np.uint64(0x5555555555555555)
-    m2 = np.uint64(0x3333333333333333)
-    m4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-    h01 = np.uint64(0x0101010101010101)
-    x = x - ((x >> np.uint64(1)) & m1)
-    x = (x & m2) + ((x >> np.uint64(2)) & m2)
-    x = (x + (x >> np.uint64(4))) & m4
-    pc = (x * h01) >> np.uint64(56)
-    order = np.lexsort((arr, pc))
-    arr = arr[order]
+    if not face_masks:
+        return []
+    basis = gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))
+    _check_span(basis, cap)
+    words = []
+    for shift in range(0, len(face_masks), 64):
+        span = np.zeros(1, dtype=np.uint64)
+        for b in basis:
+            span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
+        words.append(span[1:])
+    order = np.lexsort(words + [sum(_popcount(w) for w in words)])
+    words = [w[order] for w in words]
     minimal: list[int] = []
-    while arr.size:
-        c = arr[0]
-        minimal.append(int(c))
-        arr = arr[1:]
-        arr = arr[(arr & c) != c]
+    while words[0].size:
+        circuit = [w[0] for w in words]
+        minimal.append(sum(int(c) << (64 * i) for i, c in enumerate(circuit)))
+        keep = (words[0] & circuit[0]) != circuit[0]
+        for w, c in zip(words[1:], circuit[1:]):
+            keep |= (w & c) != c
+        words = [w[keep] for w in words]
     return minimal
 
 
@@ -479,12 +463,15 @@ def classify_minimality(
     asks for nullity one.  Vertex-minimality sweeps the maximal strict
     vertex subsets of the cycle inside the ambient complex.  The orientable
     variants enumerate the cycles actually present rather than shortcutting
-    through the plain flags.
+    through the plain flags; a face-minimal cycle is the only cycle on its
+    faces, so it is orientably face-minimal as soon as it is orientable.
     """
     faces = face_columns(cycle.faces)
     masks = [f.mask for f in faces]
+    subfaces = _subface_columns(masks)
+    basis = gf2_kernel_masks(list(subfaces.values()), len(masks))
     vmask = cycle.vertex_mask
-    face_min = nullity(masks) == 1
+    face_min = len(basis) == 1
     vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask)
 
     orientation = is_orientable(cycle, cap)
@@ -494,9 +481,9 @@ def classify_minimality(
     o_vertex_min: bool | None = None
     if orientable:
         full = (1 << len(faces)) - 1
-        o_face_min = not any(
+        o_face_min = face_min or not any(
             comp != full and is_orientable(CycleRecord(cycle.dim, faces_of(comp, faces)), cap) is not None
-            for comp in _cycle_walk(masks, cap)
+            for comp in _cycle_walk(subfaces, basis, len(masks), cap)
         )
         o_vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask, True, cap)
 
@@ -514,17 +501,20 @@ def classify_minimality(
 def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partition:
     """Partition the faces into face-minimal d-dimensional cycles.
 
-    Greedy: repeatedly extract the smallest-support kernel vector among the
-    remaining faces; the remainder stays a disjoint union of cycles, so the
-    loop terminates with a full partition.
+    Greedy: repeatedly extract the smallest (size, column order) nonzero
+    kernel vector among the remaining faces, which is always a face-minimal
+    cycle; the remainder stays a disjoint union of cycles, so the loop
+    terminates with a full partition.
     """
     remaining = face_columns(cycle.faces)
     blocks: list[frozenset[Face]] = []
     while remaining:
-        supports = minimal_kernel_supports([f.mask for f in remaining], cap)
-        if not supports:
+        masks = [f.mask for f in remaining]
+        basis = gf2_kernel_masks(list(_subface_columns(masks).values()), len(masks))
+        _check_span(basis, cap)
+        if not basis:
             raise InputError("input faces are not a disjoint union of cycles")
-        block = faces_of(supports[0], remaining)
+        block = faces_of(min(gf2_span(basis), key=lambda v: (v.bit_count(), v)), remaining)
         blocks.append(block)
         remaining = [f for f in remaining if f not in block]
     blocks.sort(key=lambda b: tuple(sorted(f.vertices for f in b)))

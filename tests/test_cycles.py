@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -220,25 +221,110 @@ def test_bipyramid_cycle_flags():
     assert not record.is_complete()
 
 
-def test_minimal_support_sieves_agree():
-    # force the vectorized sieve onto small instances and compare with the
-    # bucketed pure-python filter
-    import itertools
-    import random
+def _bucket_sieve(face_masks, cap):
+    """Oracle for ``minimal_kernel_supports``: the pure-Python bucket sieve.
 
+    Walks the kernel span in (size, mask) order and keeps each vector that
+    contains no kept one, looking kept vectors up by their lowest bit.
+    """
+    from chorded.cycles import _subface_columns
+    from chorded.field_linalg import gf2_kernel_masks, gf2_span
+
+    if not face_masks:
+        return []
+    basis = gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))
+    if (1 << len(basis)) > cap:
+        raise CapExceeded("oracle", needed=1 << len(basis), cap=cap)
+    minimal = []
+    buckets = {}
+    for v in sorted(gf2_span(basis), key=lambda v: (v.bit_count(), v)):
+        contained = False
+        mm = v
+        while mm and not contained:
+            low = mm & -mm
+            for c in buckets.get(low, ()):
+                if c & ~v == 0:
+                    contained = True
+                    break
+            mm ^= low
+        if not contained:
+            minimal.append(v)
+            buckets.setdefault(v & -v, []).append(v)
+    return minimal
+
+
+def _triangles_at_nullity(rng, faces, nullity):
+    """A random set of ``faces`` triangle masks whose GF(2) cycle space has dimension ``nullity``."""
+    import itertools
+
+    n = 4
+    while math.comb(n - 1, 2) < faces - nullity + 4:  # room for faces - nullity independent columns
+        n += 1
+    pool = [sum(1 << v for v in t) for t in itertools.combinations(range(n), 3)]
+    while True:
+        rng.shuffle(pool)
+        pivots, edge_bit, chosen, dependent = {}, {}, [], 0
+        for t in pool:
+            col = 0
+            for v in range(n):
+                if t >> v & 1:
+                    col ^= 1 << edge_bit.setdefault(t ^ (1 << v), len(edge_bit))
+            while col and (col & -col) in pivots:
+                col ^= pivots[col & -col]
+            if col and len(chosen) - dependent < faces - nullity:
+                pivots[col & -col] = col
+                chosen.append(t)
+            elif not col and dependent < nullity:
+                dependent += 1
+                chosen.append(t)
+            if len(chosen) == faces:
+                return sorted(chosen, key=lambda m: [v for v in range(n) if m >> v & 1])
+
+
+def _assert_sieve_matches_oracle(masks, cap):
     from chorded.cycles import minimal_kernel_supports
 
-    rng = random.Random(99)
-    for _ in range(40):
-        n = rng.randint(4, 6)
-        pool = list(itertools.combinations(range(n), 3))
-        faces = sorted(
-            (Face.of(t) for t in rng.sample(pool, rng.randint(3, len(pool)))),
-            key=lambda f: f.vertices,
-        )
-        masks = [f.mask for f in faces]
-        assert minimal_kernel_supports(masks, 1 << 20, packed_threshold=1) == \
-            minimal_kernel_supports(masks, 1 << 20, packed_threshold=10**9)
+    try:
+        expected = _bucket_sieve(masks, cap)
+    except CapExceeded as refused:
+        with pytest.raises(CapExceeded) as exc:
+            minimal_kernel_supports(masks, cap)
+        assert (exc.value.needed, exc.value.cap) == (refused.needed, refused.cap)
+        return False
+    assert minimal_kernel_supports(masks, cap) == expected
+    return True
+
+
+@pytest.mark.parametrize("faces,largest", [(63, 14), (64, 13), (65, 12), (127, 12), (128, 14), (129, 13)])
+def test_minimal_support_sieve_matches_bucket_oracle(faces, largest):
+    # the word-packed sieve against the bucket sieve on both sides of the
+    # 64- and 128-column word boundaries, for kernels of 0 to 14 vectors
+    # (every face count takes 0..10 and one larger kernel, as the oracle
+    # needs seconds per kernel of 2^13 or more vectors)
+    import random
+
+    from chorded.cycles import nullity
+
+    rng = random.Random(faces)
+    for k in [*range(11), largest]:
+        masks = _triangles_at_nullity(rng, faces, k)
+        assert len(masks) == faces and nullity(masks) == k
+        assert _assert_sieve_matches_oracle(masks, 1 << 14)
+    assert not _assert_sieve_matches_oracle(masks, (1 << largest) - 1)
+
+
+def test_minimal_support_sieve_matches_bucket_oracle_on_corpus():
+    from pathlib import Path
+
+    from chorded.cli import parse_facet_file
+
+    refused = 0
+    for path in sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.facets")):
+        c = parse_facet_file(path.read_text())
+        for d in range(1, c.dim + 1):
+            masks = [f.mask for f in sorted(c.faces(d), key=lambda f: f.vertices)]
+            refused += not _assert_sieve_matches_oracle(masks, 1 << 14)
+    assert refused  # seven_vertex_counterexample's 2-faces span 2^20 vectors
 
 
 def test_window_solver_preimages_sum_to_target():
@@ -247,7 +333,7 @@ def test_window_solver_preimages_sum_to_target():
 
     for ambient in (bipyramid_with_chord(), octahedron_with_axis_chords()):
         for record in enumerate_cycles_within(ambient, 2, range(ambient.vertex_count)):
-            solved = _window_boundary_preimage(ambient, 2, record.vertex_mask, record.faces)
+            solved = _window_boundary_preimage(ambient, 2, record.vertex_mask, [f.mask for f in record.faces])
             if solved is None:
                 continue
             top_mask, tops = solved
