@@ -36,6 +36,7 @@ from .cycles import (
     is_orientable,
     is_vertex_minimal,
     minimal_kernel_supports,
+    minimal_windows_complete,
     nullity,
 )
 from .errors import CapExceeded, InputError
@@ -394,16 +395,26 @@ def is_d_chorded(
 def is_d_cycle_complete(
     c: Complex, d: int, orientable_mode: bool = False, cap: int = DEFAULT_KERNEL_CAP
 ) -> bool:
-    """Whether all (orientably-)vertex-minimal cycles are d-complete."""
+    """Whether all (orientably-)vertex-minimal cycles are d-complete.
+
+    The plain predicate sweeps vertex windows (``minimal_windows_complete``):
+    it holds exactly when every inclusion-minimal window with a nonzero GF(2)
+    d-cycle space has d+2 vertices, and ``cap`` bounds the windows swept.
+    The orientable one walks every kernel vector, keeps the orientable
+    cycles and tests each for vertex-minimality; ``cap`` bounds the 2^nullity
+    kernel vectors and every orientability search.
+    """
     _require_pure(c, d, "is_d_cycle_complete")
     faces = face_columns(c.faces(d))
     masks = [f.mask for f in faces]
+    if not orientable_mode:
+        return minimal_windows_complete(masks, d, cap)
     for comp in cycle_supports(masks, cap):
-        if orientable_mode and is_orientable(CycleRecord(d, faces_of(comp, faces)), cap) is None:
+        if is_orientable(CycleRecord(d, faces_of(comp, faces)), cap) is None:
             continue
         vmask = _vertex_mask(_bits(comp), masks)
         complete = comp.bit_count() == math.comb(vmask.bit_count(), d + 1)
-        if is_vertex_minimal(c, d, vmask, orientable_mode, cap) and not complete:
+        if is_vertex_minimal(c, d, vmask, True, cap) and not complete:
             return False
     return True
 

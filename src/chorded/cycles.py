@@ -4,21 +4,23 @@ A d-dimensional cycle is a pure d-dimensional, d-path-connected complex in
 which every (d-1)-face lies in an even number of d-faces.  Over GF(2) these
 are exactly the d-path-connected components of supports of kernel vectors of
 the d-th boundary map, which makes exhaustive enumeration possible: the
-kernel has 2^nullity vectors and we walk all of them (Gray-code order) under
-a configurable cap rather than using support-closure heuristics.
+kernel has 2^nullity vectors and the enumerations walk all of them
+(Gray-code order) under a configurable cap rather than using support-closure
+heuristics.
 
 ``cycle_supports`` is the one enumeration of cycles on a face list, and
 ``minimal_kernel_supports`` the one sieve for face-minimal cycles: a numpy
 sieve over the kernel span packed into 64-bit words, for any number of
 faces.  Both refuse with ``CapExceeded`` before any work when the kernel
 holds more than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).
-Every other caller, here and in ``chordality``, goes through them.
 
 Face-minimality is intrinsic (no cycle on a strict subset of the d-faces)
 and equals "the restricted cycle space is one-dimensional".  Vertex
 minimality is relative to an ambient complex and is decided by sweeping the
 maximal strict vertex subsets, which suffices because a cycle on any strict
-subset lies within one of them.
+subset lies within one of them.  Plain d-cycle-completeness needs no
+enumeration: ``minimal_windows_complete`` decides it from which vertex
+windows carry a nonzero cycle space, with ``cap`` counting windows.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator
 
-from .complex_core import Complex, Face
+from .complex_core import Complex, Face, _bits, _closure_level
 from .errors import CapExceeded, InputError
 from .field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks, gf2_rref, gf2_span
 
@@ -299,6 +301,88 @@ def is_vertex_minimal(
         sub = vmask ^ (1 << v)
         if _orientable_cycle_within(ambient, d, sub, cap) if orientable else _nullity_within(ambient, d, sub):
             return False
+    return True
+
+
+def _cycles_avoiding(basis: list[int], columns: int) -> list[int]:
+    """A basis of the vectors spanned by ``basis`` that miss every column in ``columns``."""
+    pivots: dict[int, tuple[int, int]] = {}
+    out = []
+    for vec in basis:
+        hits, combo = vec & columns, vec
+        while hits:
+            low = hits & -hits
+            pivot = pivots.get(low)
+            if pivot is None:
+                pivots[low] = (hits, combo)
+                break
+            hits ^= pivot[0]
+            combo ^= pivot[1]
+        else:
+            out.append(combo)
+    return out
+
+
+def minimal_windows_complete(face_masks: list[int], d: int, cap: int) -> bool:
+    """Whether every inclusion-minimal vertex window holding a d-cycle has d+2 vertices.
+
+    That is d-cycle-completeness: a cycle on such a window uses all of its
+    vertices, so it is vertex-minimal, and a complete cycle on more than d+2
+    vertices would contain a (d+1)-simplex boundary on a strict subset.
+
+    The window of a cycle space is the vertex set of its support; a window
+    of d+2 vertices holds one cycle, the complete one.  A larger window W
+    with no complete cycle on d+2 of its vertices contains a minimal window
+    of more than d+2 vertices, so the answer is False.  Otherwise take the
+    first complete cycle T inside W: a minimal window in W with more than
+    d+2 vertices misses some vertex v of T, so it lies in the window of
+    W - v, whose cycle space is the part of W's that avoids v's faces.  The
+    walk starts at the window of the whole cycle space and follows these
+    d+2 children, sweeping sizes largest first so that each window is split
+    once.  ``cap`` bounds the windows swept (those of more than d+2
+    vertices); each size's exact count is checked against it before any of
+    that size's kernels is computed.
+    """
+    star: dict[int, int] = {}  # vertex -> the columns of the faces containing it
+    for j, m in enumerate(face_masks):
+        for v in _bits(m):
+            star[v] = star.get(v, 0) | 1 << j
+    # the vertex sets of the complete cycles: the (d+1)-faces of the d-closure
+    tops = sorted(_closure_level(set(face_masks), max(star, default=-1) + 1))
+    levels: dict[int, dict[int, tuple[list[int], int]]] = {}  # size -> window -> (cycle basis, T)
+
+    def add(basis: list[int]) -> bool:
+        """Queue the window of a cycle space; False when it holds no complete cycle."""
+        support = 0
+        for vec in basis:
+            support |= vec
+        wmask = 0
+        for v, cols in star.items():
+            if support & cols:
+                wmask |= 1 << v
+        if wmask.bit_count() > d + 2:
+            top = next((t for t in tops if t & ~wmask == 0), 0)
+            if not top:
+                return False
+            levels.setdefault(wmask.bit_count(), {}).setdefault(wmask, (basis, top))
+        return True
+
+    if not add(gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))):
+        return False
+    swept = 0
+    while levels:
+        level = levels.pop(max(levels))
+        swept += len(level)
+        if swept > cap:
+            raise CapExceeded(f"window sweep over {swept} vertex windows, above cap {cap}", swept, cap)
+        seen: set[int] = set()  # W - v already split; only this level's W reach it
+        for wmask, (basis, top) in sorted(level.items()):
+            for v in _bits(top):
+                sub = wmask ^ (1 << v)
+                if sub not in seen:
+                    seen.add(sub)
+                    if not add(_cycles_avoiding(basis, star[v])):
+                        return False
     return True
 
 

@@ -23,6 +23,7 @@ from chorded import (
 from chorded.corpus import (
     bipyramid,
     bipyramid_with_chord,
+    complete_graph,
     complete_skeleton,
     cycle_graph,
     glued_tetrahedra,
@@ -261,12 +262,41 @@ def test_per_cycle_routes_can_diverge_on_larger_ambients():
     assert not is_d_chorded(ambient, 2).chorded
 
 
-def test_cycle_complete_vertex_sweep_cap():
+def test_cycle_complete_vertex_sweep_cap(monkeypatch):
+    from chorded import cycles as cycles_mod
+
     # the vertex count bounds nothing: a 17-vertex path has no cycles at all
     assert is_d_cycle_complete(path_graph(17), 1)
+    calls = []
+    for name in ("gf2_kernel_masks", "_cycles_avoiding"):
+        original = getattr(cycles_mod, name)
+        monkeypatch.setattr(cycles_mod, name, lambda *args, _fn=original, _name=name: calls.append(_name) or _fn(*args))
+    # K5 sweeps its 5-vertex window, then the three 4-vertex windows left by
+    # removing a vertex of its first triangle; the cap counts those windows
+    # and refuses a size before computing any of its kernels
     with pytest.raises(CapExceeded) as err:
-        is_d_cycle_complete(cycle_graph(5), 1, cap=1)  # a kernel of 2^1 vectors
-    assert (err.value.needed, err.value.cap) == (2, 1)
+        is_d_cycle_complete(complete_graph(5), 1, cap=3)
+    assert (err.value.needed, err.value.cap) == (4, 3)
+    assert calls == ["gf2_kernel_masks"] + ["_cycles_avoiding"] * 3
+    calls.clear()
+    with pytest.raises(CapExceeded) as err:
+        is_d_cycle_complete(complete_graph(5), 1, cap=0)
+    assert (err.value.needed, err.value.cap) == (1, 0)
+    assert calls == ["gf2_kernel_masks"]  # the cycle space whose window is the first one
+    assert is_d_cycle_complete(complete_graph(5), 1, cap=4)
+
+
+@pytest.mark.parametrize("n", [8, 9])
+def test_plain_cycle_complete_decides_complete_skeletons(n):
+    # kernels of 2^35 and 2^56 vectors, far over the default cap; few windows
+    full = complete_skeleton(n, 2)
+    assert is_d_cycle_complete(full, 2)
+    assert is_d_cycle_complete(Complex(n, [f for f in full.faces(2) if f.vertices != (0, 1, 2)]), 2)
+
+
+def test_plain_cycle_complete_long_cycle_graph():
+    # an induced 24-cycle holds no triangle: its window is minimal at once
+    assert not is_d_cycle_complete(cycle_graph(24), 1)
 
 
 def test_exhaustive_search_candidate_cap():
