@@ -28,13 +28,15 @@ from functools import lru_cache
 from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
 from .cycles import (
     CycleRecord,
+    _orientation,
+    _sign_classes,
     cycle_supports,
     face_columns,
     faces_of,
     faces_within,
     is_d_dimensional_cycle,
-    is_orientable,
     is_vertex_minimal,
+    iter_cycle_supports,
     minimal_kernel_supports,
     minimal_windows_complete,
     nullity,
@@ -400,22 +402,44 @@ def is_d_cycle_complete(
     The plain predicate sweeps vertex windows (``minimal_windows_complete``):
     it holds exactly when every inclusion-minimal window with a nonzero GF(2)
     d-cycle space has d+2 vertices, and ``cap`` bounds the windows swept.
-    The orientable one walks every kernel vector, keeps the orientable
-    cycles and tests each for vertex-minimality; ``cap`` bounds the 2^nullity
-    kernel vectors and every orientability search.
+
+    The orientable one walks the cycles in (size, mask) order
+    (``iter_cycle_supports``) and returns the event of the first cycle that
+    has one: a refusal from its sign classes, a refusal from the orientable
+    vertex-minimality test of its vertex window (which counts only for an
+    orientable cycle), or False for an orientable, orientably vertex-minimal
+    cycle that is not d-complete.  A cycle of more faces than log2(cap)
+    runs its sign classes first, since only such a cycle's can refuse; the
+    window test is memoised per window within the call; and the sign search
+    runs only when its answer settles the event.  ``cap`` bounds the
+    2^nullity kernel vectors before the walk, the 2^classes sign choices of
+    every orientability search, and the kernels of the window tests.
     """
     _require_pure(c, d, "is_d_cycle_complete")
-    faces = face_columns(c.faces(d))
-    masks = [f.mask for f in faces]
+    masks = [f.mask for f in face_columns(c.faces(d))]
     if not orientable_mode:
         return minimal_windows_complete(masks, d, cap)
-    for comp in cycle_supports(masks, cap):
-        if is_orientable(CycleRecord(d, faces_of(comp, faces)), cap) is None:
+    windows: dict[int, bool | CapExceeded] = {}  # vertex window -> orientably vertex-minimal, or its refusal
+    for comp in iter_cycle_supports(masks, cap):
+        cols = list(_bits(comp))
+        cycle = [masks[j] for j in cols]
+        # the sign classes can refuse only when 2^faces > cap; otherwise they wait until the signs matter
+        if 1 << len(cols) > cap and _sign_classes(cycle, cap) is None:
             continue
-        vmask = _vertex_mask(_bits(comp), masks)
-        complete = comp.bit_count() == math.comb(vmask.bit_count(), d + 1)
-        if is_vertex_minimal(c, d, vmask, True, cap) and not complete:
+        vmask = _vertex_mask(cols, masks)
+        if vmask not in windows:
+            try:
+                windows[vmask] = is_vertex_minimal(c, d, vmask, True, cap)
+            except CapExceeded as exc:
+                windows[vmask] = exc
+        minimal = windows[vmask]
+        if minimal is False or (minimal is True and len(cols) == math.comb(vmask.bit_count(), d + 1)):
+            continue  # no event, whatever the signs
+        if _orientation(cycle, cap) is None:
+            continue
+        if minimal is True:
             return False
+        raise minimal
     return True
 
 

@@ -2,17 +2,26 @@
 
 A d-dimensional cycle is a pure d-dimensional, d-path-connected complex in
 which every (d-1)-face lies in an even number of d-faces.  Over GF(2) these
-are exactly the d-path-connected components of supports of kernel vectors of
-the d-th boundary map, which makes exhaustive enumeration possible: the
-kernel has 2^nullity vectors and the enumerations walk all of them
-(Gray-code order) under a configurable cap rather than using support-closure
+are exactly the nonzero kernel vectors of the d-th boundary map whose
+supports are d-path-connected (a d-path component of any kernel support is
+itself a kernel vector), which makes exhaustive enumeration possible: the
+kernel has 2^nullity vectors, and the enumerations take them from one
+sorted span under a configurable cap rather than using support-closure
 heuristics.
 
-``cycle_supports`` is the one enumeration of cycles on a face list, and
-``minimal_kernel_supports`` the one sieve for face-minimal cycles: a numpy
-sieve over the kernel span packed into 64-bit words, for any number of
-faces.  Both refuse with ``CapExceeded`` before any work when the kernel
+``_sorted_span`` packs the kernel span into 64-bit words and sorts it by
+(popcount, mask).  ``iter_cycle_supports`` yields its connected vectors
+lazily in that order and is the one enumeration of cycles on a face list
+(``cycle_supports`` lists it); ``minimal_kernel_supports`` sieves the span
+for the face-minimal cycles, and ``decompose_cycle`` takes its first vector.
+All of them refuse with ``CapExceeded`` before any work when the kernel
 holds more than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).
+Only ``classify_minimality`` still walks a span in Gray-code order
+(``_cycle_walk``), which fixes where its refusals fall.
+
+Orientability is decided over column masks in two stages: ``_sign_classes``
+ties the face signs across subfaces of incidence 2 and applies the cap to
+the 2^classes sign choices left, and ``_sign_search`` backtracks over them.
 
 Face-minimality is intrinsic (no cycle on a strict subset of the d-faces)
 and equals "the restricted cycle space is one-dimensional".  Vertex
@@ -158,24 +167,26 @@ def _column_adjacency(subfaces: dict[int, int], ncols: int) -> list[int]:
     return adj
 
 
+def _component(seed: int, support: int, adj: list[int]) -> int:
+    """The connected component of the ``seed`` bit inside a column subset."""
+    comp = frontier = seed
+    while frontier:
+        grow = 0
+        while frontier:
+            low = frontier & -frontier
+            grow |= adj[low.bit_length() - 1]
+            frontier ^= low
+        frontier = grow & support & ~comp
+        comp |= frontier
+    return comp
+
+
 def _support_components(support: int, adj: list[int]) -> list[int]:
     """Connected components of a column subset under the adjacency masks."""
     comps = []
     todo = support
     while todo:
-        seed = todo & -todo
-        comp = seed
-        frontier = seed
-        while frontier:
-            grow = 0
-            mm = frontier
-            while mm:
-                low = mm & -mm
-                grow |= adj[low.bit_length() - 1]
-                mm ^= low
-            grow &= support & ~comp
-            comp |= grow
-            frontier = grow
+        comp = _component(todo & -todo, support, adj)
         comps.append(comp)
         todo &= ~comp
     return comps
@@ -215,20 +226,6 @@ def _cycle_walk(subfaces: dict[int, int], basis: list[int], ncols: int, cap: int
                 yield comp
 
 
-def cycle_supports(face_masks: list[int], cap: int) -> list[int]:
-    """Every d-dimensional cycle on the given d-faces, as a column mask.
-
-    These are the distinct d-path components of all nonzero GF(2) kernel
-    supports, sorted by (size, mask).  Refuses with ``CapExceeded`` before
-    any work when the kernel has more than ``cap`` vectors.
-    """
-    if not face_masks:
-        return []
-    subfaces = _subface_columns(face_masks)
-    basis = gf2_kernel_masks(list(subfaces.values()), len(face_masks))
-    return sorted(_cycle_walk(subfaces, basis, len(face_masks), cap), key=lambda m: (m.bit_count(), m))
-
-
 def _popcount(words):
     """Per-element bit counts of a uint64 array."""
     import numpy as np
@@ -239,34 +236,83 @@ def _popcount(words):
     return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
-def minimal_kernel_supports(face_masks: list[int], cap: int) -> list[int]:
-    """Inclusion-minimal nonzero kernel supports (the face-minimal cycles).
+def _sorted_span(subfaces: dict[int, int], ncols: int, cap: int) -> list:
+    """The nonzero kernel vectors, sorted by (popcount, mask).
 
-    Sorted by support size then column order; each is automatically
-    d-path-connected.  The kernel span, up to ``cap`` vectors, is packed
-    into one uint64 array per 64 columns and ordered by (popcount, mask);
-    the first remaining vector is then always a circuit, and the sieve drops
-    every vector containing it, i.e. every vector that misses none of its
-    bits in any word.
+    One uint64 array per 64 columns, low word first; the sort is one
+    ``np.lexsort`` with the high word most significant.  Refuses with
+    ``CapExceeded`` before any work when the kernel has more than ``cap``
+    vectors.
     """
     import numpy as np
 
-    if not face_masks:
-        return []
-    basis = gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))
+    basis = gf2_kernel_masks(list(subfaces.values()), ncols)
     _check_span(basis, cap)
     words = []
-    for shift in range(0, len(face_masks), 64):
+    for shift in range(0, ncols, 64):
         span = np.zeros(1, dtype=np.uint64)
         for b in basis:
             span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
         words.append(span[1:])
     order = np.lexsort(words + [sum(_popcount(w) for w in words)])
-    words = [w[order] for w in words]
+    return [w[order] for w in words]
+
+
+def _vector(words, i: int) -> int:
+    """The i-th vector of a packed span as a column mask."""
+    return sum(int(w[i]) << (64 * j) for j, w in enumerate(words))
+
+
+_CHUNK = 4096  # span vectors turned into Python ints at a time
+
+
+def iter_cycle_supports(face_masks: list[int], cap: int) -> Iterator[int]:
+    """Every d-dimensional cycle on the given d-faces, as a column mask, in (size, mask) order.
+
+    The cycles are the nonzero kernel vectors whose support is
+    d-path-connected: a d-path component of any kernel support is itself a
+    kernel vector, because the faces at a (d-1)-subface are pairwise
+    adjacent.  The span is built and sorted whole (``_sorted_span``) and the
+    connected vectors are yielded lazily, so a search can stop at its first
+    hit.  Refuses with ``CapExceeded`` before the first vector when the
+    kernel has more than ``cap`` vectors.
+    """
+    if not face_masks:
+        return
+    subfaces = _subface_columns(face_masks)
+    words = _sorted_span(subfaces, len(face_masks), cap)
+    adj = _column_adjacency(subfaces, len(face_masks))
+    for start in range(0, words[0].size, _CHUNK):
+        vectors = words[0][start:start + _CHUNK].tolist()
+        for j, w in enumerate(words[1:], 1):
+            vectors = [v | hi << (64 * j) for v, hi in zip(vectors, w[start:start + _CHUNK].tolist())]
+        for support in vectors:
+            if _component(support & -support, support, adj) == support:
+                yield support
+
+
+def cycle_supports(face_masks: list[int], cap: int) -> list[int]:
+    """Every d-dimensional cycle on the given d-faces, as a column mask, sorted by (size, mask)."""
+    return list(iter_cycle_supports(face_masks, cap))
+
+
+def minimal_kernel_supports(face_masks: list[int], cap: int) -> list[int]:
+    """Inclusion-minimal nonzero kernel supports (the face-minimal cycles).
+
+    Sorted by support size then column order; each is automatically
+    d-path-connected.  The kernel span, up to ``cap`` vectors, comes
+    ordered by (popcount, mask) from ``_sorted_span``; the first remaining
+    vector is then always a circuit, and the sieve drops every vector
+    containing it, i.e. every vector that misses none of its bits in any
+    word.
+    """
+    if not face_masks:
+        return []
+    words = _sorted_span(_subface_columns(face_masks), len(face_masks), cap)
     minimal: list[int] = []
     while words[0].size:
         circuit = [w[0] for w in words]
-        minimal.append(sum(int(c) << (64 * i) for i, c in enumerate(circuit)))
+        minimal.append(_vector(words, 0))
         keep = (words[0] & circuit[0]) != circuit[0]
         for w, c in zip(words[1:], circuit[1:]):
             keep |= (w & c) != c
@@ -282,10 +328,10 @@ def _nullity_within(c: Complex, d: int, wmask: int) -> int:
 @lru_cache(maxsize=16384)
 def _orientable_cycle_within(c: Complex, d: int, wmask: int, cap: int) -> bool:
     """Whether some cycle with faces inside ``wmask`` is orientable."""
-    faces = faces_within(c, d, wmask)
+    masks = [f.mask for f in faces_within(c, d, wmask)]
     return any(
-        is_orientable(CycleRecord(d, faces_of(comp, faces)), cap) is not None
-        for comp in cycle_supports([f.mask for f in faces], cap)
+        _orientation([masks[j] for j in _bits(comp)], cap) is not None
+        for comp in iter_cycle_supports(masks, cap)
     )
 
 
@@ -451,23 +497,30 @@ def enumerate_cycles_within(
     return records
 
 
-def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Face, int] | None:
-    """A face -> +-1 assignment whose signed sum has zero boundary, or None.
+def _sign_classes(
+    face_masks: list[int], cap: int
+) -> tuple[list[int], list[int], int, list[list[tuple[int, int]]]] | None:
+    """Stage one of the orientability test, over face masks in column order.
 
-    Equivalent to the balance condition on induced orientations: around
-    every (d-1)-subface the induced orientations split evenly between the
-    two classes.  Signs are propagated along subfaces of incidence exactly
-    2; subfaces of higher incidence contribute balance constraints checked
-    by a backtracking search over the remaining sign freedom.
+    A face's boundary at its j-th vertex carries the induced sign (-1)^j.
+    Every subface must lie in an even number of faces, and across a subface
+    of incidence exactly 2 the two faces' signs are tied, so the faces fall
+    into sign classes, each face with a fixed sign relative to its class.
+    Returns (class of each face, relative sign of each face, class count,
+    the subfaces of higher incidence as (face, induced sign) lists), or None
+    when the parity or the ties already fail.  Refuses with
+    ``CapExceeded`` when the 2^classes sign choices exceed ``cap``.
     """
-    faces = face_columns(cycle.faces)
-    k = len(faces)
+    k = len(face_masks)
     inc: dict[int, list[tuple[int, int]]] = {}
-    for idx, f in enumerate(faces):
-        for j, v in enumerate(f.vertices):
-            sigma = -1 if j & 1 else 1
-            sub = f.mask ^ (1 << v)
-            inc.setdefault(sub, []).append((idx, sigma))
+    for idx, m in enumerate(face_masks):
+        sigma = 1
+        mm = m
+        while mm:
+            low = mm & -mm
+            inc.setdefault(m ^ low, []).append((idx, sigma))
+            sigma = -sigma
+            mm ^= low
 
     adj: list[list[tuple[int, int]]] = [[] for _ in range(k)]
     constraints: list[list[tuple[int, int]]] = []
@@ -505,17 +558,18 @@ def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Fac
 
     if 1 << ncomp > cap:
         raise CapExceeded(f"orientability search over 2^{ncomp} sign choices", 1 << ncomp, cap)
+    return comp, rel, ncomp, constraints
 
-    # collapse each balance constraint to coefficients per sign component
-    collapsed: list[dict[int, int]] = []
+
+def _sign_search(classes) -> list[int] | None:
+    """Stage two: the first balancing sign per class, +1 before -1, as one sign per face; or None."""
+    comp, rel, ncomp, constraints = classes
+    # collapse each balance constraint to coefficients per sign class
+    by_last_comp: list[list[dict[int, int]]] = [[] for _ in range(ncomp)]
     for lst in constraints:
         coeff: dict[int, int] = {}
         for idx, sigma in lst:
             coeff[comp[idx]] = coeff.get(comp[idx], 0) + sigma * rel[idx]
-        collapsed.append(coeff)
-
-    by_last_comp: list[list[dict[int, int]]] = [[] for _ in range(ncomp)]
-    for coeff in collapsed:
         by_last_comp[max(coeff)].append(coeff)
 
     signs = [0] * ncomp
@@ -535,7 +589,28 @@ def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Fac
 
     if not search(0):
         return None
-    return {faces[i]: rel[i] * signs[comp[i]] for i in range(k)}
+    return [r * signs[cc] for cc, r in zip(comp, rel)]
+
+
+def _orientation(face_masks: list[int], cap: int) -> list[int] | None:
+    """One balancing sign per face (masks in column order), or None."""
+    classes = _sign_classes(face_masks, cap)
+    return None if classes is None else _sign_search(classes)
+
+
+def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Face, int] | None:
+    """A face -> +-1 assignment whose signed sum has zero boundary, or None.
+
+    Equivalent to the balance condition on induced orientations: around
+    every (d-1)-subface the induced orientations split evenly between the
+    two classes.  Signs are propagated along subfaces of incidence exactly
+    2 (``_sign_classes``, which applies the cap); subfaces of higher
+    incidence contribute balance constraints checked by a backtracking
+    search over the remaining sign freedom (``_sign_search``).
+    """
+    faces = face_columns(cycle.faces)
+    signs = _orientation([f.mask for f in faces], cap)
+    return None if signs is None else dict(zip(faces, signs))
 
 
 def classify_minimality(
@@ -566,7 +641,7 @@ def classify_minimality(
     if orientable:
         full = (1 << len(faces)) - 1
         o_face_min = face_min or not any(
-            comp != full and is_orientable(CycleRecord(cycle.dim, faces_of(comp, faces)), cap) is not None
+            comp != full and _orientation([masks[j] for j in _bits(comp)], cap) is not None
             for comp in _cycle_walk(subfaces, basis, len(masks), cap)
         )
         o_vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask, True, cap)
@@ -586,7 +661,8 @@ def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partit
     """Partition the faces into face-minimal d-dimensional cycles.
 
     Greedy: repeatedly extract the smallest (size, column order) nonzero
-    kernel vector among the remaining faces, which is always a face-minimal
+    kernel vector among the remaining faces, the first of the sorted span
+    (``_sorted_span``), which is always a face-minimal
     cycle; the remainder stays a disjoint union of cycles, so the loop
     terminates with a full partition.
     """
@@ -594,11 +670,10 @@ def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partit
     blocks: list[frozenset[Face]] = []
     while remaining:
         masks = [f.mask for f in remaining]
-        basis = gf2_kernel_masks(list(_subface_columns(masks).values()), len(masks))
-        _check_span(basis, cap)
-        if not basis:
+        words = _sorted_span(_subface_columns(masks), len(masks), cap)
+        if not words[0].size:
             raise InputError("input faces are not a disjoint union of cycles")
-        block = faces_of(min(gf2_span(basis), key=lambda v: (v.bit_count(), v)), remaining)
+        block = faces_of(_vector(words, 0), remaining)
         blocks.append(block)
         remaining = [f for f in remaining if f not in block]
     blocks.sort(key=lambda b: tuple(sorted(f.vertices for f in b)))

@@ -314,8 +314,9 @@ def test_cycle_complete_hands_cap_to_every_orientability_search(monkeypatch):
     from chorded import chordality as chordality_mod
     from chorded import cycles as cycles_mod
 
-    cap = (1 << 20) - 3
-    original = cycles_mod.is_orientable
+    # the sign classes are the orientability stage that applies the cap
+    cap = (1 << 6) - 3
+    original = cycles_mod._sign_classes
     signature = inspect.signature(original)
     seen = []
 
@@ -328,10 +329,11 @@ def test_cycle_complete_hands_cap_to_every_orientability_search(monkeypatch):
 
         return wrapper
 
-    monkeypatch.setattr(chordality_mod, "is_orientable", spy("chordality"))
-    monkeypatch.setattr(cycles_mod, "is_orientable", spy("cycles"))
+    monkeypatch.setattr(chordality_mod, "_sign_classes", spy("chordality"))
+    monkeypatch.setattr(cycles_mod, "_sign_classes", spy("cycles"))
     cycles_mod._orientable_cycle_within.cache_clear()
-    # the 8-face union cycle's vertex-minimality sweep meets each tetrahedron
+    # 2^8 > cap, so the 8-face union cycle's own sign classes run first, and
+    # its vertex-minimality sweep meets each tetrahedron
     assert is_d_cycle_complete(glued_tetrahedra(), 2, True, cap)
     assert {home for home, _ in seen} == {"chordality", "cycles"}
     assert all(got == cap for _, got in seen)
