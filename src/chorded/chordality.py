@@ -14,6 +14,13 @@ complex-level verdict is exact even though a single cycle can own a chord
 set whose witnesses are not complete cycles.  The tiny exhaustive searcher
 exists to cross-validate the two routes and is bounded by the caller's cap.
 
+``is_d_chorded`` decides every circuit of the sieve in one numpy pass over
+the packed circuit words (``packed.decide_circuits``): vertex windows,
+completeness, and membership by sweeping one (window, pivot column)
+echelon table filled from the cached per-window solver (``_window_solver``),
+so its numpy work grows with the columns and windows, not with the
+circuits.  Python runs once per window and once per returned certificate.
+
 Cap overruns always surface as ``CapExceeded`` (inconclusive), never as a
 negative verdict.
 """
@@ -23,7 +30,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
 from .cycles import (
@@ -356,41 +363,37 @@ def is_d_chorded(
     """Whether every face-minimal non-d-complete cycle has a chord set.
 
     Face-minimal cycles are the inclusion-minimal nonzero GF(2) kernel
-    supports of the d-th boundary map.  Every non-complete one is decided
-    through the boundary-membership test; explicit verified chord-set
-    records are materialized for the first ``certificate_limit`` cycles in
-    canonical order (pass None for all of them) and always for every
-    failing cycle.  The verdict itself covers every cycle regardless of the
-    limit.
+    supports of the d-th boundary map (``minimal_kernel_supports``).  All of
+    them are decided together as packed arrays (``packed.decide_circuits``):
+    a circuit is complete when it has C(window size, d+1) faces, and every
+    other one is decided by the boundary-membership test of its vertex
+    window.  Explicit verified chord-set records are materialized for the
+    first ``certificate_limit`` passing cycles in canonical order (pass
+    None for all of them) and always for every failing cycle, in
+    ``CycleRecord.sort_key`` order.  The verdict itself covers every cycle
+    regardless of the limit.
     """
     _require_pure(c, d, "is_d_chorded")
     faces = face_columns(c.faces(d))
     masks = [f.mask for f in faces]
-    complete_count = 0
-    # (sort key, support, whether its face sum bounds): columns follow the
-    # vertex-tuple order, so (size, column tuple) is CycleRecord.sort_key order
-    cycles: list[tuple[tuple, int, bool]] = []
-    for support in minimal_kernel_supports(masks, cap):
-        cols = tuple(_bits(support))
-        vmask = _vertex_mask(cols, masks)
-        if len(cols) == math.comb(vmask.bit_count(), d + 1):
-            complete_count += 1
-            continue
-        bounds = _window_boundary_preimage(c, d, vmask, [masks[j] for j in cols]) is not None
-        cycles.append(((len(cols), cols), support, bounds))
-    cycles.sort()
-    failing = [entry for entry in cycles if not entry[2]]
-    shown = [entry for entry in cycles if entry[2]][:certificate_limit] + failing
+    supports = minimal_kernel_supports(masks, cap)
+    if not supports:
+        return DChordedResult(d, True, (), 0)
+    from . import packed  # numpy code, compiled on first use like numpy itself
+
+    complete, non_complete, shown = packed.decide_circuits(
+        supports, masks, c.vertex_count, d, partial(_window_solver, c, d), certificate_limit)
     certificates: list[tuple[CycleRecord, ChordSetRecord | None]] = []
-    for _, support, bounds in sorted(shown):
-        record = CycleRecord(d, faces_of(support, faces), face_minimal=True)
-        certificates.append((record, boundary_chord_test(record, c, cap) if bounds else None))
+    faces_at = packed.FaceSets(faces)
+    for support, passes in shown:
+        record = CycleRecord(d, faces_at(support), face_minimal=True)
+        certificates.append((record, boundary_chord_test(record, c, cap) if passes else None))
     return DChordedResult(
         d,
-        not failing,
+        all(passes for _, passes in shown),
         tuple(certificates),
-        complete_count,
-        non_complete_cycles=len(cycles),
+        complete,
+        non_complete_cycles=non_complete,
     )
 
 

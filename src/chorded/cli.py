@@ -18,6 +18,7 @@ exceeded so the result is inconclusive.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -373,13 +374,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use rather than at import."""
+    return build_parser()
+
+
 def run_command(argv: list[str]) -> tuple[dict, int]:
     """Dispatch one CLI invocation, returning (report, exit_code)."""
-    parser = build_parser()
+    report, code, _ = _run(argv)
+    return report, code
+
+
+def _run(argv: list[str]) -> tuple[dict, int, argparse.Namespace | None]:
+    """``run_command``, plus the parsed arguments (None when parsing failed)."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
-        return {}, EXIT_INPUT if exc.code not in (0, None) else EXIT_OK
+        return {}, EXIT_INPUT if exc.code not in (0, None) else EXIT_OK, None
     started = time.perf_counter()
     settings: dict = {}
     digest = None
@@ -422,19 +434,18 @@ def run_command(argv: list[str]) -> tuple[dict, int]:
         body,
         elapsed_ms if getattr(args, "timing", False) else None,
     )
-    return report, code
+    return report, code, args
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    report, code = run_command(argv)
+    report, code, args = _run(argv)
     if report:
         text = serialize_report(report)
         sys.stdout.write(text)
-        path = build_parser().parse_args(argv).json
-        if path is not None:
-            with open(path, "w", encoding="utf-8") as fh:
+        if args.json is not None:
+            with open(args.json, "w", encoding="utf-8") as fh:
                 fh.write(text)
     return code
 

@@ -149,6 +149,27 @@ def test_json_equals_flag_writes_identical_bytes(tmp_path, capsys):
     assert out.read_text() == capsys.readouterr().out
 
 
+def test_parser_is_built_once_per_process(tmp_path, monkeypatch, capsys):
+    from chorded import cli
+
+    builds = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: builds.append(1) or build())
+    cli._parser.cache_clear()
+    try:
+        bipyramid = str(CORPUS / "bipyramid.facets")
+        out = tmp_path / "report.json"
+        assert run_command(["info", bipyramid])[1] == EXIT_OK
+        assert run_command(["frobnicate"])[1] == EXIT_INPUT
+        assert main(["frobnicate"]) == EXIT_INPUT
+        assert main(["tree", "-d", "2", f"--json={out}", bipyramid]) == EXIT_OK
+        assert out.read_text() == capsys.readouterr().out
+        assert run_command(["chorded", "-d", "1", bipyramid])[1] == EXIT_OK
+        assert len(builds) == 1
+    finally:
+        cli._parser.cache_clear()
+
+
 @pytest.mark.parametrize("argv", [
     ["linres", "-t", "3", "--closure", "-d", "2", "--cap", "1"],
     ["componentwise", "--cap", "1"],
