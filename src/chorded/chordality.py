@@ -16,10 +16,10 @@ exists to cross-validate the two routes and is bounded by the caller's cap.
 
 ``is_d_chorded`` decides every circuit of the sieve in one numpy pass over
 the packed circuit words (``packed.decide_circuits``): vertex windows,
-completeness, and membership by sweeping one (window, pivot column)
-echelon table filled from the cached per-window solver (``_window_solver``),
-so its numpy work grows with the columns and windows, not with the
-circuits.  Python runs once per window and once per returned certificate.
+completeness, and membership by sweeping the pivot columns of the cached
+per-window solver rows (``_window_solver``), so its numpy work grows with
+the columns and vertices the circuits touch, not with the circuits.
+Python runs once per window and once per returned certificate.
 
 Cap overruns always surface as ``CapExceeded`` (inconclusive), never as a
 negative verdict.
@@ -35,6 +35,7 @@ from functools import lru_cache, partial
 from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
 from .cycles import (
     CycleRecord,
+    FaceSets,
     _orientation,
     _sign_classes,
     cycle_supports,
@@ -384,7 +385,7 @@ def is_d_chorded(
     complete, non_complete, shown = packed.decide_circuits(
         supports, masks, c.vertex_count, d, partial(_window_solver, c, d), certificate_limit)
     certificates: list[tuple[CycleRecord, ChordSetRecord | None]] = []
-    faces_at = packed.FaceSets(faces)
+    faces_at = FaceSets(faces)
     for support, passes in shown:
         record = CycleRecord(d, faces_at(support), face_minimal=True)
         certificates.append((record, boundary_chord_test(record, c, cap) if passes else None))

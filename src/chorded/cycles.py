@@ -141,6 +141,29 @@ def faces_of(mask: int, faces: list[Face]) -> frozenset[Face]:
     return frozenset(out)
 
 
+class FaceSets:
+    """``faces_of`` over one face list, memoised for many masks.
+
+    A mask's face set is the union of memoised per-byte frozensets, and
+    frozenset union reuses the stored hashes, so no face is hashed again.
+    """
+
+    def __init__(self, faces: list[Face]):
+        self.faces = faces
+        self.nbytes = max(1, -(-len(faces) // 8))
+        self.memo: dict[tuple[int, int], frozenset[Face]] = {}
+
+    def __call__(self, mask: int) -> frozenset[Face]:
+        parts = []
+        for i, byte in enumerate(mask.to_bytes(self.nbytes, "little")):
+            if byte:
+                part = self.memo.get((i, byte))
+                if part is None:
+                    part = self.memo[(i, byte)] = frozenset(self.faces[8 * i + j] for j in _bits(byte))
+                parts.append(part)
+        return frozenset().union(*parts)
+
+
 def _subface_columns(face_masks: list[int]) -> dict[int, int]:
     """(d-1)-subface -> bitmask of the columns containing it: the boundary rows."""
     table: dict[int, int] = {}

@@ -4,9 +4,11 @@ A set of columns (d-faces in ``face_columns`` order) is packed into uint64
 words, one word per 64 columns, low word first; a vertex window is packed
 the same way over vertices.  ``decide_circuits`` decides every circuit of
 the sieve at once: vertex windows by AND with each vertex's column mask,
-completeness by popcount, and closure-window membership by sweeping one
-(window, pivot column) echelon table.  Its numpy work grows with the
-columns and windows, not with the circuits; Python runs once per window.
+completeness by popcount, and closure-window membership by sweeping the
+pivot columns of the windows' solver rows, packed once and keyed by
+(pivot column, window).  Its numpy work grows with the columns and
+vertices the circuits touch, not with the circuits; Python runs once per
+window, and memory grows with the circuits and the solver rows.
 
 The module imports numpy at the top, so ``chordality`` imports it on first
 use: importing the package neither loads numpy nor compiles this module.
@@ -18,10 +20,8 @@ import math
 
 import numpy as np
 
-from .complex_core import Face, _bits
+from .complex_core import _bits
 from .cycles import _popcount
-
-_TABLE_WORDS = 1 << 21  # echelon-table words held at once: 16 MB
 
 
 def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, solver, limit: int | None):
@@ -61,17 +61,22 @@ def _pack(masks: list[int], ncols: int):
 
 
 def _circuit_windows(circuits, masks: list[int], nverts: int):
-    """The vertex window of each packed circuit, packed over vertices."""
-    star = [0] * nverts  # vertex -> the columns of the faces containing it
-    for j, m in enumerate(masks):
-        for v in _bits(m):
-            star[v] |= 1 << j
+    """The vertex window of each packed circuit, packed over vertices.
+
+    Only the faces of some circuit and their vertices are visited, and
+    each vertex only at the words where it has such a face.
+    """
+    union = np.bitwise_or.reduce(circuits, axis=0)
+    star: dict[int, dict[int, int]] = {}  # vertex -> {word: its faces' columns there}
+    for j in _bits(int.from_bytes(union.astype("<u8").tobytes(), "little")):
+        for v in _bits(masks[j]):
+            words = star.setdefault(v, {})
+            words[j >> 6] = words.get(j >> 6, 0) | 1 << (j & 63)
     windows = np.zeros((circuits.shape[0], max(1, -(-nverts // 64))), dtype=np.uint64)
-    for v, cols in enumerate(star):
+    for v, words in star.items():
         hit = np.zeros(circuits.shape[0], dtype=bool)
-        for k in range(circuits.shape[1]):
-            if word := cols >> (64 * k) & 0xFFFFFFFFFFFFFFFF:
-                hit |= (circuits[:, k] & np.uint64(word)) != 0
+        for k, word in words.items():
+            hit |= (circuits[:, k] & np.uint64(word)) != 0
         windows[:, v >> 6] |= hit.astype(np.uint64) << np.uint64(v & 63)
     return windows
 
@@ -84,47 +89,36 @@ def _row_popcount(rows):
 def _bounding(circuits, windows, masks: list[int], solver):
     """Whether each packed circuit's face sum is a (d+1)-boundary in its closure window.
 
-    The circuits are grouped by window.  Each window's solver rows, mapped
-    to global columns, fill one (window, pivot column) echelon table; a
-    row's pivot is its lowest bit, and the map keeps column order, so
-    sweeping the pivots in ascending order and clearing each circuit's bit
-    at every pivot of its window reduces all circuits exactly.  A bit with
-    no pivot in the circuit's window stays set, and the circuit does not
-    bound.  Windows are reduced ``_TABLE_WORDS`` table words at a time.
+    The circuits are grouped by window, and each window's solver rows,
+    mapped to global columns, are packed once, keyed by (pivot column,
+    window).  A row's pivot is its lowest bit, and the map keeps column
+    order, so sweeping the pivots in ascending order and clearing each
+    circuit's bit at every pivot of its window reduces all circuits
+    exactly.  A bit with no pivot in the circuit's window stays set, and
+    the circuit does not bound.  Memory grows with the solver rows.
     """
-    if windows.shape[1] == 1:  # up to 64 vertices: a flat unique is about 15x faster than the row form
-        keys, inverse = np.unique(windows[:, 0], return_inverse=True)
-        keys = keys[:, None]
-    else:
-        keys, inverse = np.unique(windows, axis=0, return_inverse=True)
+    keys, inverse = np.unique(windows, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 gave the row form's inverse the input's shape
     column = {m: j for j, m in enumerate(masks)}
-    nwords = circuits.shape[1]
-    block = max(1, _TABLE_WORDS // (len(masks) * nwords))
-    by_window = np.argsort(inverse, kind="stable")
-    sorted_windows = inverse[by_window]
+    rows: list[int] = []
+    at: list[int] = []  # pivot column * windows + window, of each row
+    for w, key in enumerate(keys.tolist()):
+        _, local, pivots = solver(sum(word << (64 * k) for k, word in enumerate(key)))
+        to_global = [column[m] for m in local]  # increasing: both orders are face_columns order
+        for low, (row, _) in pivots.items():
+            rows.append(sum(1 << to_global[j] for j in _bits(row)))
+            at.append(to_global[low.bit_length() - 1] * len(keys) + w)
+    swept = sorted({a // len(keys) for a in at})  # a bare np.unique would import numpy.ma, about 1 MB
+    at = np.array(at, dtype=np.int64)
+    order = np.argsort(at)
+    at, table = at[order], _pack(rows, len(masks))[order]
     residue = circuits.copy()
-    for start in range(0, len(keys), block):
-        rows: list[int] = []
-        at: list[tuple[int, int]] = []  # (window in block, pivot column) of each row
-        for w, key in enumerate(keys[start:start + block].tolist()):
-            _, local, pivots = solver(sum(word << (64 * k) for k, word in enumerate(key)))
-            to_global = [column[m] for m in local]  # increasing: both orders are face_columns order
-            for low, (row, _) in pivots.items():
-                rows.append(sum(1 << to_global[j] for j in _bits(row)))
-                at.append((w, to_global[low.bit_length() - 1]))
-        if not rows:
-            continue
-        table = np.zeros((min(block, len(keys) - start), len(masks), nwords), dtype=np.uint64)
-        w_at, p_at = np.array(at, dtype=np.intp).T
-        table[w_at, p_at] = _pack(rows, len(masks))
-        lo, hi = np.searchsorted(sorted_windows, [start, start + block]).tolist()
-        mine = by_window[lo:hi]
-        local_window = sorted_windows[lo:hi] - start
-        for p in sorted({p for _, p in at}):  # a bare np.unique would import numpy.ma, about 1 MB
-            word, bit = p >> 6, np.uint64(1 << (p & 63))
-            hit = np.flatnonzero(residue[mine, word] & bit)
-            residue[mine[hit]] ^= table[local_window[hit], p]
+    for p in swept:
+        hit = np.flatnonzero(residue[:, p >> 6] & np.uint64(1 << (p & 63)))
+        want = inverse[hit] + p * len(keys)
+        row = np.minimum(np.searchsorted(at, want), len(at) - 1)
+        found = at[row] == want
+        residue[hit[found]] ^= table[row[found]]
     return ~residue.any(axis=1)
 
 
@@ -136,24 +130,3 @@ def _bit_reversed(words):
         words = (words >> shift) & mask | (words & mask) << shift
     return words
 
-
-class FaceSets:
-    """Column mask -> frozenset of faces, as a union of memoised per-byte frozensets.
-
-    Frozenset union reuses the stored hashes, so no face is hashed again.
-    """
-
-    def __init__(self, faces: list[Face]):
-        self.faces = faces
-        self.nbytes = max(1, -(-len(faces) // 8))
-        self.memo: dict[tuple[int, int], frozenset[Face]] = {}
-
-    def __call__(self, mask: int) -> frozenset[Face]:
-        parts = []
-        for i, byte in enumerate(mask.to_bytes(self.nbytes, "little")):
-            if byte:
-                part = self.memo.get((i, byte))
-                if part is None:
-                    part = self.memo[(i, byte)] = frozenset(self.faces[8 * i + j] for j in _bits(byte))
-                parts.append(part)
-        return frozenset().union(*parts)

@@ -43,12 +43,12 @@ from .corpus import (
 )
 from .cycles import (
     CycleRecord,
+    FaceSets,
     classify_minimality,
     d_path_components,
     decompose_cycle,
     enumerate_cycles_within,
     face_columns,
-    faces_of,
     is_d_dimensional_cycle,
     is_orientable,
     minimal_kernel_supports,
@@ -360,7 +360,7 @@ def verify_corpus(
         if c.vertex_count > 6 or not faces or len(faces) > 10:
             continue
         chk.tick()
-        minimal = {faces_of(s, faces) for s in minimal_kernel_supports([f.mask for f in faces], cap)}
+        minimal = set(map(FaceSets(faces), minimal_kernel_supports([f.mask for f in faces], cap)))
         brute = _brute_force_face_minimal(c, d)
         if minimal != brute:
             chk.fail(random_index=i, complex=_complex_json(c))
@@ -400,8 +400,9 @@ def verify_corpus(
         if not supports:
             continue
         produced += 1
+        faces_at = FaceSets(face_list)
         for s in supports:
-            rec = CycleRecord(d, faces_of(s, face_list), face_minimal=True)
+            rec = CycleRecord(d, faces_at(s), face_minimal=True)
             if rec.is_complete():
                 continue
             chk.tick()

@@ -10,7 +10,8 @@ on it; then it sorts by (size, column tuple) and builds the records with
 source, in the same order), or the same refusal, at certificate limits
 None, 0, 3 and 128, on seeded random pure complexes at d = 1, 2, 3 (some
 with more than 64 faces and more than 64 vertices), on a long chorded
-cycle graph and on every corpus file at every dimension.
+cycle graph, on large sparse complexes with a few circuits and on every
+corpus file at every dimension.
 """
 
 import itertools
@@ -20,7 +21,7 @@ from pathlib import Path
 
 import pytest
 
-from chorded import CapExceeded, Complex, Face, chordality, is_d_chorded, packed, pure_skeleton
+from chorded import CapExceeded, Complex, Face, chordality, is_d_chorded, pure_skeleton
 from chorded.chordality import DChordedResult, _window_boundary_preimage, boundary_chord_test
 from chorded.cli import parse_facet_file
 from chorded.corpus import cycle_graph
@@ -193,12 +194,38 @@ def test_array_pass_matches_circuit_loop_past_64_vertices():
     assert {cs is None for *_, cs in outcomes[0][4]} == {True, False}
 
 
-def test_array_pass_matches_circuit_loop_with_windows_reduced_one_at_a_time(monkeypatch):
-    monkeypatch.setattr(packed, "_TABLE_WORDS", 1)
-    rng = random.Random(77)
-    for d in (1, 2):
-        for nfaces in (20, 129):
-            assert_same(glued_complex(rng, d, nfaces), d, (None,))
+def stacked_sphere_with_gadgets(rng: random.Random, nverts: int) -> Complex:
+    """A stacked 2-sphere on ``nverts`` vertices with two small gadgets beside it.
+
+    Each stacking step replaces a triangle by the three triangles on a new
+    vertex, so the sphere is one non-complete circuit whose closure window
+    has no tetrahedra: it does not bound.  The gadgets are two tetrahedron
+    boundaries sharing a triangle (two complete circuits and a bipyramid
+    that bounds) and a bipyramid alone (one that does not).  Vertex ids
+    are shuffled, so the few circuits spread over many words of columns
+    and vertices.
+    """
+    faces = [0b1110, 0b1101, 0b1011, 0b0111]
+    for v in range(4, nverts):
+        top = faces.pop(rng.randrange(len(faces)))
+        faces += [top ^ (1 << u) | 1 << v for u in _bits(top)]
+    a, b, c, x, y = range(nverts, nverts + 5)
+    faces += [1 << a | 1 << b | 1 << c] + [1 << p | 1 << q | 1 << t for p, q in ((a, b), (b, c), (a, c)) for t in (x, y)]
+    a, b, c, x, y = range(nverts + 5, nverts + 10)
+    faces += [1 << p | 1 << q | 1 << t for p, q in ((a, b), (b, c), (a, c)) for t in (x, y)]
+    relabel = list(range(nverts + 10))
+    rng.shuffle(relabel)
+    return Complex(nverts + 10, [Face.of(relabel[v] for v in _bits(m)) for m in faces])
+
+
+def test_array_pass_matches_circuit_loop_on_large_sparse_complexes():
+    rng = random.Random(4242)
+    sphere = stacked_sphere_with_gadgets(rng, 300)
+    assert len(sphere.faces(2)) > 600
+    outcomes = assert_same(sphere, 2)
+    # the sphere and the lone bipyramid fail, the glued bipyramid passes
+    assert outcomes[0][1:4] == (False, 2, 3)
+    assert sorted(cs is None for *_, cs in outcomes[0][4]) == [False, True, True]
 
 
 def test_array_pass_matches_circuit_loop_on_corpus(monkeypatch):
