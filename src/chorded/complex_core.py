@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Collection, Iterable, Iterator
 
 from .errors import InputError, PurityError
 
@@ -377,18 +377,25 @@ def _require_pure(c: Complex, d: int, op: str) -> frozenset[Face]:
     return c.faces(d)
 
 
-def _closure_level(level: set[int], n: int) -> set[int]:
+def _closure_level(level: Collection[int], n: int) -> set[int]:
     """The sets on vertices below ``n`` all of whose one-smaller subsets lie in ``level``.
 
     ``level`` holds sets of one size.  Each candidate is built once, from
-    the subset without its top vertex.
+    the subset m without its top vertex, by a vertex v above it: m | v
+    qualifies when every s | v with s one smaller than m is in ``level``,
+    so v is in the AND of the vertices that extend each such s.
     """
+    extends: dict[int, int] = {}  # s -> the vertices v with s | v in level
+    for m in level:
+        for u in _bits(m):
+            s = m ^ (1 << u)
+            extends[s] = extends.get(s, 0) | 1 << u
     out: set[int] = set()
     for m in level:
-        for v in range(m.bit_length(), n):
-            bit = 1 << v
-            if all(((m ^ (1 << u)) | bit) in level for u in _bits(m)):
-                out.add(m | bit)
+        allowed = ((1 << n) - 1) >> m.bit_length() << m.bit_length()
+        for u in _bits(m):
+            allowed &= extends[m ^ (1 << u)]
+        out.update(m | 1 << v for v in _bits(allowed))
     return out
 
 

@@ -8,8 +8,9 @@ in (size, lex) order and reports the first failure as a witness, so
 negative verdicts are small and reproducible.  The empty subset and
 homological degree -1 are excluded.
 
-The sweep works on int face masks: no ``Complex`` is built per window.  Two
-exact skip rules leave out what cannot fail:
+The sweep works on int face masks, built level by level straight from the
+generator masks: no ``Complex`` is built, neither for the ideal nor per
+window.  Two exact skip rules leave out what cannot fail:
 
 - Degrees h < t-2 vanish on every window W: every set of at most t-1
   vertices is a face, so the window holds the full (t-2)-skeleton of the
@@ -34,9 +35,11 @@ import math
 from dataclasses import dataclass
 
 from .complex_core import (
-    Complex,
     Face,
     MonomialIdeal,
+    _bits,
+    _closure_level,
+    _mask_of,
     complex_of_ideal,
     d_closure,
     pure_skeleton,
@@ -94,7 +97,9 @@ def min_generation_degree(i: MonomialIdeal) -> int | None:
     """
     t = _generation_degree(i)
     if t is not None:
-        _uniform_degree_complex(i, t)
+        c = complex_of_ideal(i)
+        if c != d_closure(pure_skeleton(c, t - 1), t - 1):
+            raise AssertionError("uniform-degree ideal whose complex is not the closure of its skeleton")
     return t
 
 
@@ -105,20 +110,12 @@ def _generation_degree(i: MonomialIdeal) -> int | None:
     return next(iter(degrees)) if len(degrees) == 1 else None
 
 
-def _uniform_degree_complex(i: MonomialIdeal, t: int) -> Complex:
-    """The complex of an ideal generated in degree t, asserted to be a (t-1)-closure."""
-    c = complex_of_ideal(i)
-    if c != d_closure(pure_skeleton(c, t - 1), t - 1):
-        raise AssertionError("uniform-degree ideal whose complex is not the closure of its skeleton")
-    return c
-
-
 def _check_sweep_cap(n: int, t: int, cap: int) -> None:
     """Refuse a degree-t sweep on n variables when more than ``cap`` vertex sets have t-1 or more elements.
 
     Every face the sweep indexes and every window it visits is such a set,
-    so the check bounds the sweep's time and memory before the ideal's
-    complex is built.
+    so the check bounds the sweep's time and memory before any face level
+    is built.
     """
     needed = sum(math.comb(n, k) for k in range(max(t - 1, 0), n + 1))
     if needed > cap:
@@ -129,6 +126,24 @@ def _check_sweep_cap(n: int, t: int, cap: int) -> None:
         )
 
 
+def _face_levels(i: MonomialIdeal, t: int) -> list[list[int]]:
+    """The faces of the complex of an ideal generated in degree t, by size from t-1, as sorted masks.
+
+    Every (t-1)-set is a face; the t-faces are the t-sets that are not
+    generators; and a larger set is a face exactly when all its one-smaller
+    subsets are, so each further level is the closure of the one below.
+    The list ends at the last nonempty level.
+    """
+    n = i.variable_count
+    gens = {g.mask for g in i.generators}
+    levels = [sorted(map(_mask_of, itertools.combinations(range(n), t - 1)))]
+    level = sorted(m for m in map(_mask_of, itertools.combinations(range(n), t)) if m not in gens)
+    while level:
+        levels.append(level)
+        level = sorted(_closure_level(level, n))
+    return levels
+
+
 def has_t_linear_resolution(
     i: MonomialIdeal, t: int, f: FieldSpec, cap: int = DEFAULT_KERNEL_CAP
 ) -> ResolutionVerdict:
@@ -137,7 +152,7 @@ def has_t_linear_resolution(
     Linear iff every induced subcomplex of the ideal's complex has zero
     reduced homology in all degrees other than t-2.  Subsets are visited by
     increasing size then lexicographically; the first failure becomes the
-    witness.  ``CapExceeded`` is raised before the ideal's complex is built
+    witness.  ``CapExceeded`` is raised before any face level is built
     when more than ``cap`` vertex sets have t-1 or more elements: the faces
     the sweep indexes and the windows it visits are all among them.
     """
@@ -145,43 +160,44 @@ def has_t_linear_resolution(
     if got != t:
         raise InputError(f"ideal is minimally generated in degree {got}, not {t}")
     _check_sweep_cap(i.variable_count, t, cap)
-    witness = _first_nonvanishing(_uniform_degree_complex(i, t), t, f)
+    witness = _first_nonvanishing(i.variable_count, t, f, _face_levels(i, t))
     return ResolutionVerdict(t, f, witness is None, witness)
 
 
-def _first_nonvanishing(c: Complex, t: int, f: FieldSpec) -> tuple[tuple[int, ...], int, int] | None:
+def _first_nonvanishing(
+    n: int, t: int, f: FieldSpec, levels: list[list[int]]
+) -> tuple[tuple[int, ...], int, int] | None:
     """The first (window, degree, betti) with nonzero reduced homology in a degree >= t-1.
 
-    Windows come in (size, lex) order and degrees ascend within a window.
-    Faces are int masks, indexed once: the faces of every degree h >= t-1
-    share one bit index space, so the faces inside a window are one mask
-    operation away, and each face carries its boundary over the indices of
-    the faces one dimension down.  Ranks of the boundary maps restricted to
-    a window are ranks of those boundary vectors.
+    ``levels`` are the face masks of sizes t-1, t, ... on n vertices, each
+    sorted.  Windows come in (size, lex) order and degrees ascend within a
+    window.  The faces of every degree h >= t-1 share one bit index space,
+    so the faces inside a window are one mask operation away, and each
+    face carries its boundary over the indices of the faces one dimension
+    down.  Ranks of the boundary maps restricted to a window are ranks of
+    those boundary vectors.
     """
     low = max(t - 1, 0)
-    n = c.vertex_count
-    if c.dim < low:
-        return None
     exact = f.kind == "rational"
     p = CERTIFICATE_PRIME if exact else f.p  # None for GF(2), whose boundary vectors are bitmasks
-    below = {m: r for r, m in enumerate(sorted(face.mask for face in c.faces(low - 1)))}
+    below = {m: r for r, m in enumerate(levels[0])}
     contains = [0] * n
-    blocks = []  # per degree low..dim: (first bit, width mask, boundary vectors)
+    blocks = []  # per degree low..: (first bit, width mask, boundary vectors)
     offset = 0
-    for h in range(low, c.dim + 1):
-        faces = sorted(c.faces(h), key=lambda face: face.mask)
+    for faces in levels[1:]:
         vectors = []
-        for k, face in enumerate(faces):
+        for k, m in enumerate(faces):
             bit = 1 << (offset + k)
             signed = []
-            for j, v in enumerate(face.vertices):
+            for j, v in enumerate(_bits(m)):
                 contains[v] |= bit
-                signed.append((below[face.mask ^ (1 << v)], -1 if j & 1 else 1))
+                signed.append((below[m ^ (1 << v)], -1 if j & 1 else 1))
             vectors.append(sum(1 << r for r, _ in signed) if p is None else tuple(signed))
         blocks.append((offset, (1 << len(faces)) - 1, vectors))
-        below = {face.mask: r for r, face in enumerate(faces)}
+        below = {m: r for r, m in enumerate(faces)}
         offset += len(faces)
+    if not blocks:
+        return None
     everything = (1 << offset) - 1
 
     def rank(vectors) -> int:

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -19,6 +20,7 @@ from chorded import (
     pure_skeleton,
     stanley_reisner_generators,
 )
+from chorded.complex_core import _closure_level
 from chorded.corpus import hollow_tetrahedron, projective_plane, seven_vertex_counterexample, tetra_with_fin
 
 from conftest import RP2_FACETS
@@ -170,6 +172,42 @@ def test_d_closure_path_graph_adds_no_triangle():
 def test_d_closure_rejects_non_pure():
     with pytest.raises(PurityError):
         d_closure(build_complex(["abc", "de"]), 2)
+
+
+def closure_level_oracle(level: set[int], n: int) -> set[int]:
+    """``_closure_level`` as a plain loop: try every vertex above each set's top vertex."""
+    out = set()
+    for m in level:
+        for v in range(m.bit_length(), n):
+            bit = 1 << v
+            if all(((m ^ (1 << u)) | bit) in level for u in range(m.bit_length()) if m >> u & 1):
+                out.add(m | bit)
+    return out
+
+
+def test_closure_level_matches_oracle_on_seeded_levels():
+    rng = random.Random(0xC105E)
+    for _ in range(300):
+        n = rng.randint(0, 9)
+        k = rng.randint(0, min(n, 4))
+        keep = rng.choice((0.3, 0.6, 0.9, 1.0))
+        level = {sum(1 << v for v in combo) for combo in itertools.combinations(range(n), k) if rng.random() < keep}
+        while level:
+            closed = _closure_level(level, n)
+            assert closed == closure_level_oracle(level, n), (n, k, sorted(level))
+            level = closed
+
+
+def test_closure_level_matches_oracle_on_a_long_path_with_chords():
+    def mask(*vs):
+        return sum(1 << v for v in vs)
+
+    n = 400
+    edges = {mask(v, v + 1) for v in range(n - 1)}
+    edges |= {mask(3, 5), mask(10, 200), mask(11, 202), mask(150, 399), mask(30, 32)}
+    triangles = _closure_level(edges, n)
+    assert triangles == closure_level_oracle(edges, n) == {mask(3, 4, 5), mask(30, 31, 32)}
+    assert _closure_level(triangles, n) == closure_level_oracle(triangles, n) == set()
 
 
 def test_d_complement_examples():

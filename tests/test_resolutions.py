@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from chorded import (
@@ -26,11 +28,14 @@ from chorded import (
 )
 from chorded.corpus import (
     cycle_graph,
+    named_corpus,
     path_graph,
     random_two_tree,
     seven_vertex_counterexample,
     tetra_with_fin,
 )
+
+from test_linres_oracle import random_ideal
 
 
 def gen_names(ideal):
@@ -107,15 +112,50 @@ def test_linres_many_variables_within_cap():
 def test_refused_sweep_never_builds_the_complex(monkeypatch):
     from chorded import resolutions
 
-    def forbidden(i):
-        raise AssertionError("complex_of_ideal called by a refused sweep")
+    built = []
+    face_levels = resolutions._face_levels
 
-    monkeypatch.setattr(resolutions, "complex_of_ideal", forbidden)
+    def recording(i, t):
+        built.append(t)
+        return face_levels(i, t)
+
+    monkeypatch.setattr(resolutions, "_face_levels", recording)
     ideal = facet_ideal_generators(cycle_graph(5))
     with pytest.raises(CapExceeded):
         has_t_linear_resolution(ideal, 2, GF2, cap=30)
     with pytest.raises(CapExceeded):
         is_componentwise_linear(ideal, GF2, cap=30)
+    assert built == []  # no face of the ideal's complex was built
+    has_t_linear_resolution(ideal, 2, GF2)
+    assert built == [2]  # an accepted sweep builds its faces here
+
+
+def uniform_ideals():
+    """(label, ideal, t): the ideals the linear-resolution oracle tests sweep."""
+    for t in (1, 2, 3, 4):
+        rng = random.Random(0x11_4E5 + t)
+        for k in range(12):
+            n = 10 if k == 0 else rng.randint(t + 1, 9)
+            yield ("random", t, k), random_ideal(rng, n, t), t
+    for name, c in sorted(named_corpus().items()):
+        for d in range(1, c.dim + 1):
+            ideal = stanley_reisner_generators(d_closure(pure_skeleton(c, d), d))
+            if not ideal.is_zero:
+                yield (name, "closure", d), ideal, d + 1
+        ideal = facet_ideal_generators(c)
+        if not ideal.is_zero:
+            for d in range(min(ideal.degrees()), c.vertex_count + 1):
+                yield (name, "component", d), degree_component(ideal, d), d
+
+
+def test_face_levels_are_the_complex_of_the_ideal():
+    from chorded.resolutions import _face_levels
+
+    for label, ideal, t in uniform_ideals():
+        c = complex_of_ideal(ideal)
+        assert c == d_closure(pure_skeleton(c, t - 1), t - 1), label
+        faces = [sorted(f.mask for f in c.faces(h)) for h in range(t - 2, c.dim + 1)]
+        assert _face_levels(ideal, t) == faces, label
 
 
 def test_degree_component_examples():
