@@ -14,11 +14,13 @@ complex-level verdict is exact even though a single cycle can own a chord
 set whose witnesses are not complete cycles.  The tiny exhaustive searcher
 exists to cross-validate the two routes and is bounded by the caller's cap.
 
-``is_d_chorded`` decides every circuit of the sieve in one numpy pass over
-the packed circuit words (``packed.decide_circuits``): vertex windows,
-completeness, and membership by sweeping the pivot columns of the cached
-per-window solver rows (``_window_solver``), so its numpy work grows with
-the columns and vertices the circuits touch, not with the circuits.
+``is_d_chorded`` finds the face-minimal cycles by one rank pass over the
+kernel coefficients (``cycles.minimal_kernel_supports``) and decides every
+one of them in one numpy pass over the packed circuit words
+(``packed.decide_circuits``): vertex windows, completeness, and membership
+by sweeping the pivot columns of the cached per-window solver rows
+(``_window_solver``), so its numpy work grows with the columns and
+vertices the circuits touch, not with the circuits.
 Python runs once per window and once per returned certificate.
 
 Cap overruns always surface as ``CapExceeded`` (inconclusive), never as a
@@ -36,13 +38,13 @@ from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
 from .cycles import (
     CycleRecord,
     FaceSets,
+    _is_cycle,
     _orientation,
     _sign_classes,
     cycle_supports,
     face_columns,
     faces_of,
     faces_within,
-    is_d_dimensional_cycle,
     is_vertex_minimal,
     iter_cycle_supports,
     minimal_kernel_supports,
@@ -153,8 +155,7 @@ def verify_chord_set(
             return False
         if len(w.vertices) >= nverts:
             return False
-        probe = Complex(ambient.vertex_count, w.faces)
-        if not is_d_dimensional_cycle(probe, d):
+        if not _is_cycle([f.mask for f in w.faces], d):
             return False
         union |= w.faces
     if union != target:

@@ -12,10 +12,13 @@ heuristics.
 ``_sorted_span`` packs the kernel span into 64-bit words and sorts it by
 (popcount, mask).  ``iter_cycle_supports`` yields its connected vectors
 lazily in that order and is the one enumeration of cycles on a face list
-(``cycle_supports`` lists it); ``minimal_kernel_supports`` sieves the span
-for the face-minimal cycles, and ``decompose_cycle`` takes its first vector.
-All of them refuse with ``CapExceeded`` before any work when the kernel
-holds more than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).
+(``cycle_supports`` lists it), and ``decompose_cycle`` takes its first
+vector.  ``minimal_kernel_supports`` builds no span: a combination of
+kernel basis vectors is a face-minimal cycle exactly when a rank over its
+coefficients is full, and ``packed.circuit_supports`` tests every
+coefficient set at once.  All of them refuse with ``CapExceeded`` before
+any work when the kernel holds more than ``cap`` vectors (default
+``DEFAULT_KERNEL_CAP`` = 2^20).
 Only ``classify_minimality`` still walks a span in Gray-code order
 (``_cycle_walk``), which fixes where its refusals fall.
 
@@ -323,24 +326,18 @@ def minimal_kernel_supports(face_masks: list[int], cap: int) -> list[int]:
     """Inclusion-minimal nonzero kernel supports (the face-minimal cycles).
 
     Sorted by support size then column order; each is automatically
-    d-path-connected.  The kernel span, up to ``cap`` vectors, comes
-    ordered by (popcount, mask) from ``_sorted_span``; the first remaining
-    vector is then always a circuit, and the sieve drops every vector
-    containing it, i.e. every vector that misses none of its bits in any
-    word.
+    d-path-connected.  They are the circuits of the kernel basis, found by
+    one rank test per coefficient set (``packed.circuit_supports``) over
+    the up to ``cap`` vectors of the span; refuses with ``CapExceeded``
+    before any of them is tested.
     """
     if not face_masks:
         return []
-    words = _sorted_span(_subface_columns(face_masks), len(face_masks), cap)
-    minimal: list[int] = []
-    while words[0].size:
-        circuit = [w[0] for w in words]
-        minimal.append(_vector(words, 0))
-        keep = (words[0] & circuit[0]) != circuit[0]
-        for w, c in zip(words[1:], circuit[1:]):
-            keep |= (w & c) != c
-        words = [w[keep] for w in words]
-    return minimal
+    basis = gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))
+    _check_span(basis, cap)
+    from . import packed  # numpy code, compiled on first use like numpy itself
+
+    return packed.circuit_supports(basis, len(face_masks))
 
 
 @lru_cache(maxsize=65536)
@@ -471,16 +468,22 @@ def d_path_components(c: Complex, d: int) -> Partition:
     return Partition(tuple(blocks))
 
 
-def is_d_dimensional_cycle(c: Complex, d: int) -> bool:
-    """Pure of dimension d, d-path-connected, with even subface incidences."""
-    if not c.facets or not c.is_pure(d):
+def _is_cycle(face_masks: list[int], d: int) -> bool:
+    """Whether the faces form a d-dimensional cycle: nonempty, every face of
+    d+1 vertices, every (d-1)-subface in an even number of them, and one
+    d-path component."""
+    if not face_masks or any(m.bit_count() != d + 1 for m in face_masks):
         return False
-    masks = [f.mask for f in face_columns(c.faces(d))]
-    subfaces = _subface_columns(masks)
+    subfaces = _subface_columns(face_masks)
     if any(members.bit_count() & 1 for members in subfaces.values()):
         return False
-    adj = _column_adjacency(subfaces, len(masks))
-    return len(_support_components((1 << len(masks)) - 1, adj)) == 1
+    full = (1 << len(face_masks)) - 1
+    return _component(1, full, _column_adjacency(subfaces, len(face_masks))) == full
+
+
+def is_d_dimensional_cycle(c: Complex, d: int) -> bool:
+    """Pure of dimension d, d-path-connected, with even subface incidences."""
+    return c.is_pure(d) and _is_cycle([f.mask for f in c.facets], d)
 
 
 def cycle_from_faces(faces, d: int) -> CycleRecord:
@@ -488,9 +491,7 @@ def cycle_from_faces(faces, d: int) -> CycleRecord:
     faces = frozenset(faces)
     if not faces:
         raise InputError("a cycle has at least one face")
-    n = max(f.vertices[-1] for f in faces) + 1
-    probe = Complex(n, faces)
-    if not is_d_dimensional_cycle(probe, d):
+    if not _is_cycle([f.mask for f in faces], d):
         raise InputError("face set is not a d-dimensional cycle")
     return CycleRecord(d, faces)
 

@@ -1,13 +1,15 @@
 """Exact linear algebra over GF(2), GF(p) for small odd primes, and QQ.
 
 GF(2) matrices are manipulated as rows of Python ints used as bitmasks, so
-row elimination is word-parallel XOR.  Ranks over GF(p) and QQ come from
-``sparse_rank``, which ranks sparse integer vectors mod p or by integer
-Bareiss elimination; kernel bases and preimages use dense elimination with
-plain modular ints / ``fractions.Fraction``.  No floating point appears
-anywhere.  The pivot rule is fixed (scan columns left to right, take the
-first remaining row with a nonzero entry), which makes ranks, kernel bases,
-preimages and enumeration orders reproducible for a fixed input.
+row elimination is word-parallel XOR; ``gf2_rref`` inserts the rows one at
+a time, and the reduced echelon form it returns is unique.  Ranks over
+GF(p) and QQ come from ``sparse_rank``, which ranks sparse integer vectors
+mod p or by integer Bareiss elimination; kernel bases and preimages use
+dense elimination with plain modular ints / ``fractions.Fraction``.  No
+floating point appears anywhere.  The dense pivot rule is fixed (scan
+columns left to right, take the first remaining row with a nonzero entry),
+which makes ranks, kernel bases, preimages and enumeration orders
+reproducible for a fixed input.
 """
 
 from __future__ import annotations
@@ -233,28 +235,33 @@ class ChainVector:
 # GF(2) kernels: rows are ints, bit j = coefficient of column j.
 
 def gf2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
-    """In-place-style RREF; returns (reduced rows, pivot column list)."""
-    work = [r for r in rows if r]
-    pivots: list[int] = []
-    r = 0
-    col = 0
-    while r < len(work):
-        rest = 0
-        for w in work[r:]:
-            rest |= w
-        if rest == 0:
-            break
-        # lowest remaining column with a nonzero entry
-        col = (rest & -rest).bit_length() - 1
-        bit = 1 << col
-        pivot = next(i for i in range(r, len(work)) if work[i] & bit)
-        work[r], work[pivot] = work[pivot], work[r]
-        for i in range(len(work)):
-            if i != r and work[i] & bit:
-                work[i] ^= work[r]
-        pivots.append(col)
-        r += 1
-    return work[: len(pivots)], pivots
+    """Reduced row echelon form; returns (reduced rows, pivot column list), by ascending pivot.
+
+    Each row is reduced against the rows kept so far, keyed by their lowest
+    bit, and kept under its own lowest bit if anything is left.  Back
+    substitution from the highest pivot down then clears every other pivot
+    column from each row.
+    """
+    by_low: dict[int, int] = {}
+    for row in rows:
+        while row:
+            low = row & -row
+            kept = by_low.get(low)
+            if kept is None:
+                by_low[low] = row
+                break
+            row ^= kept
+    lows = sorted(by_low)
+    pivot_mask = sum(lows)
+    for low in reversed(lows):
+        row = by_low[low]
+        hits = row & pivot_mask ^ low
+        while hits:
+            high = hits & -hits
+            row ^= by_low[high]
+            hits ^= high
+        by_low[low] = row
+    return [by_low[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
 def gf2_kernel_masks(rows: list[int], ncols: int) -> list[int]:

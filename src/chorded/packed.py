@@ -1,17 +1,26 @@
-"""Array operations on bit-packed circuits, for ``chordality.is_d_chorded``.
+"""Array operations on bit-packed GF(2) data: circuits and their kernel coefficients.
 
 A set of columns (d-faces in ``face_columns`` order) is packed into uint64
 words, one word per 64 columns, low word first; a vertex window is packed
-the same way over vertices.  ``decide_circuits`` decides every circuit of
-the sieve at once: vertex windows by AND with each vertex's column mask,
-completeness by popcount, and closure-window membership by sweeping the
-pivot columns of the windows' solver rows, packed once and keyed by
-(pivot column, window).  Its numpy work grows with the columns and
-vertices the circuits touch, not with the circuits; Python runs once per
-window, and memory grows with the circuits and the solver rows.
+the same way over vertices.
 
-The module imports numpy at the top, so ``chordality`` imports it on first
-use: importing the package neither loads numpy nor compiles this module.
+``circuit_supports`` finds the circuits of a kernel, the face-minimal
+cycles, for ``cycles.minimal_kernel_supports``: one rank test per
+coefficient set of the kernel basis, run over all of them at once as
+array elimination, so its Python work grows with the kernel's rows, not
+with its vectors or circuits.
+
+``decide_circuits`` decides every circuit at once for
+``chordality.is_d_chorded``: vertex windows by AND with each vertex's
+column mask, completeness by popcount, and closure-window membership by
+sweeping the pivot columns of the windows' solver rows, packed once and
+keyed by (pivot column, window).  Its numpy work grows with the columns
+and vertices the circuits touch, not with the circuits; Python runs once
+per window, and memory grows with the circuits and the solver rows.
+
+The module imports numpy at the top, so ``cycles`` and ``chordality``
+import it on first use: importing the package neither loads numpy nor
+compiles this module.
 """
 
 from __future__ import annotations
@@ -22,6 +31,102 @@ import numpy as np
 
 from .complex_core import _bits
 from .cycles import _popcount
+
+
+_CHUNK = 1 << 16  # coefficient sets eliminated at a time
+
+
+def _even_table():
+    t = np.arange(1 << 16)
+    for shift in (8, 4, 2, 1):
+        t ^= t >> shift
+    return (t & 1) == 0
+
+
+_EVEN = _even_table()  # whether each 16-bit value has an even bit count
+
+
+def _even(v, k: int):
+    """Whether each element of ``v`` (all below 2^k) is nonzero with an even bit count."""
+    f = v
+    for shift in (32, 16):
+        if k > shift:
+            f = f ^ (f >> shift)
+    return _EVEN.take(f & 0xFFFF) & (v != 0)
+
+
+def circuit_supports(basis: list[int], ncols: int) -> list[int]:
+    """The circuits of the span of ``basis``, sorted by (popcount, mask).
+
+    A circuit is an inclusion-minimal nonzero support.
+
+    ``basis`` is ``gf2_kernel_masks``'s, which gives each vector a free
+    column of its own, so the combination xB of a coefficient set x
+    contains yB only if y is a subset of x.  Column c of xB is the parity
+    of x & R_c, where R_c is the set of basis vectors holding c.  So yB
+    lies inside xB exactly when y is a subset of x orthogonal to every
+    row R_c & x with x.R_c even.  x itself is such a y, so xB is a circuit
+    exactly when those rows have rank |x| - 1.  A row of one bit is never
+    even and nonzero, so only the distinct R_c of two or more bits count.
+
+    The coefficient sets are eliminated together, ``_CHUNK`` at a time, one
+    row at a time.  Each set keeps its independent rows in slots by
+    insertion order, each with its lowest bit as pivot, and reduces a new
+    row against them in that order, so at most min(rows, k - 1) slots are
+    used.  A set with fewer even nonzero rows than |x| - 1 is dropped
+    before eliminating, and a set stops taking rows once it is decided
+    either way.  Only the circuits' supports are built, as packed words,
+    and sorted.
+    """
+    k = len(basis)
+    holders: dict[int, int] = {}  # column -> R_c
+    for i, vec in enumerate(basis):
+        for c in _bits(vec):
+            holders[c] = holders.get(c, 0) | 1 << i
+    rows = sorted({r for r in holders.values() if r & (r - 1)})
+    slots = min(len(rows), k - 1)
+    dtype = np.int32 if k < 32 else np.int64
+    found = [np.zeros(0, dtype=dtype)]
+    for start in range(1, 1 << k, _CHUNK):
+        x = np.arange(start, min(start + _CHUNK, 1 << k), dtype=dtype)
+        need = _popcount(x.astype(np.uint64)).astype(dtype) - 1
+        left = np.zeros_like(x)  # even nonzero rows not yet eliminated
+        for r in rows:
+            left += _even(x & r, k)
+        keep = need <= left
+        x, need, left = x[keep], need[keep], left[keep]
+        rank = np.zeros_like(x)
+        vec = np.zeros((slots, x.size), dtype=dtype)
+        pivot = np.zeros((slots, x.size), dtype=dtype)
+        used = 0
+        for r in rows:
+            v = x & r
+            even = _even(v, k)
+            at = np.flatnonzero(even & (rank < need) & (rank + left >= need))
+            left -= even
+            w = v[at]
+            for s in range(used):
+                w ^= vec[s, at] * ((w & pivot[s, at]) != 0)
+            at, w = at[w != 0], w[w != 0]
+            if at.size:
+                vec[rank[at], at] = w
+                pivot[rank[at], at] = w & -w
+                rank[at] += 1
+                used = min(used + 1, slots)
+        found.append(x[rank == need])
+    flagged = np.concatenate(found).astype(np.uint64)
+    words = []
+    for shift in range(0, ncols, 64):
+        word = np.zeros(flagged.size, dtype=np.uint64)
+        for i, vec in enumerate(basis):
+            if vec >> shift & 0xFFFFFFFFFFFFFFFF:
+                word ^= (flagged >> np.uint64(i) & np.uint64(1)) * np.uint64(vec >> shift & 0xFFFFFFFFFFFFFFFF)
+        words.append(word)
+    order = np.lexsort(words + [sum(_popcount(w) for w in words)])
+    supports = words[0][order].tolist()
+    for j, word in enumerate(words[1:], 1):
+        supports = [lo | hi << (64 * j) for lo, hi in zip(supports, word[order].tolist())]
+    return supports
 
 
 def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, solver, limit: int | None):

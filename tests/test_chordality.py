@@ -61,6 +61,22 @@ def test_verify_chord_set_hexagon():
     assert verify_chord_set(chords, hexagon, ambient, witnesses)
 
 
+
+def test_verify_chord_set_rejects_a_witness_that_is_not_a_cycle():
+    # a lone chord, listed twice so that every covering parity still holds
+    ambient = hexagon_with_long_chords()
+    hexagon = cycle_on(ambient, [("v0", "v1"), ("v1", "v2"), ("v2", "v3"),
+                                 ("v3", "v4"), ("v4", "v5"), ("v0", "v5")], 1)
+    chords = {face(ambient, ("v0", "v2")), face(ambient, ("v2", "v4")), face(ambient, ("v0", "v4"))}
+    witnesses = [
+        cycle_on(ambient, [("v0", "v1"), ("v1", "v2"), ("v0", "v2")], 1),
+        cycle_on(ambient, [("v2", "v3"), ("v3", "v4"), ("v2", "v4")], 1),
+        cycle_on(ambient, [("v4", "v5"), ("v0", "v5"), ("v0", "v4")], 1),
+        cycle_on(ambient, [("v0", "v2"), ("v2", "v4"), ("v0", "v4")], 1),
+    ]
+    lone = cycle_on(ambient, [("v0", "v2")], 1)
+    assert not verify_chord_set(chords, hexagon, ambient, witnesses + [lone, lone])
+
 def test_verify_chord_set_bipyramid():
     ambient = bipyramid_with_chord()
     omega = cycle_on(ambient, [("a", "b", "d"), ("a", "c", "d"), ("b", "c", "d"),

@@ -30,7 +30,7 @@ from chorded.corpus import (
     octahedron_boundary,
     projective_plane,
 )
-from chorded.field_linalg import apply_matrix
+from chorded.field_linalg import DEFAULT_KERNEL_CAP, apply_matrix
 
 from conftest import RP2_FACETS
 
@@ -95,6 +95,12 @@ def test_is_cycle_requires_purity_and_connectivity():
 def test_cycle_from_faces_validates():
     with pytest.raises(InputError):
         cycle_from_faces([Face.of([0, 1, 2])], 2)
+    boundary = [Face.of(t) for t in ((0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3))]
+    assert cycle_from_faces(boundary, 2).faces == frozenset(boundary)
+    with pytest.raises(InputError):  # every face must be a d-face
+        cycle_from_faces(boundary + [Face.of([0, 1])], 2)
+    with pytest.raises(InputError):  # one d-path component
+        cycle_from_faces(boundary + [Face.of([v + 4 for v in f.vertices]) for f in boundary], 2)
 
 
 def test_enumerate_cycles_tetra(tetra):
@@ -253,6 +259,29 @@ def _bucket_sieve(face_masks, cap):
     return minimal
 
 
+def _per_circuit_sieve(face_masks, cap):
+    """Second oracle for ``minimal_kernel_supports``: the per-circuit numpy filter.
+
+    Takes the kernel span sorted by (popcount, mask); its first vector is
+    always a circuit, and each circuit drops every vector containing it,
+    i.e. every vector that misses none of its bits in any word.
+    """
+    from chorded.cycles import _sorted_span, _subface_columns, _vector
+
+    if not face_masks:
+        return []
+    words = _sorted_span(_subface_columns(face_masks), len(face_masks), cap)
+    minimal = []
+    while words[0].size:
+        circuit = [w[0] for w in words]
+        minimal.append(_vector(words, 0))
+        keep = (words[0] & circuit[0]) != circuit[0]
+        for w, c in zip(words[1:], circuit[1:]):
+            keep |= (w & c) != c
+        words = [w[keep] for w in words]
+    return minimal
+
+
 def _triangles_at_nullity(rng, faces, nullity):
     """A random set of ``faces`` triangle masks whose GF(2) cycle space has dimension ``nullity``."""
     import itertools
@@ -281,11 +310,11 @@ def _triangles_at_nullity(rng, faces, nullity):
                 return sorted(chosen, key=lambda m: [v for v in range(n) if m >> v & 1])
 
 
-def _assert_sieve_matches_oracle(masks, cap):
+def _assert_sieve_matches_oracle(masks, cap, oracle=_bucket_sieve):
     from chorded.cycles import minimal_kernel_supports
 
     try:
-        expected = _bucket_sieve(masks, cap)
+        expected = oracle(masks, cap)
     except CapExceeded as refused:
         with pytest.raises(CapExceeded) as exc:
             minimal_kernel_supports(masks, cap)
@@ -314,6 +343,7 @@ def test_minimal_support_sieve_matches_bucket_oracle(faces, largest):
 
 
 def test_minimal_support_sieve_matches_bucket_oracle_on_corpus():
+    # the bucket sieve below 2^14 vectors, the per-circuit sieve at the default cap
     from pathlib import Path
 
     from chorded.cli import parse_facet_file
@@ -324,7 +354,91 @@ def test_minimal_support_sieve_matches_bucket_oracle_on_corpus():
         for d in range(1, c.dim + 1):
             masks = [f.mask for f in sorted(c.faces(d), key=lambda f: f.vertices)]
             refused += not _assert_sieve_matches_oracle(masks, 1 << 14)
+            assert _assert_sieve_matches_oracle(masks, DEFAULT_KERNEL_CAP, _per_circuit_sieve)
     assert refused  # seven_vertex_counterexample's 2-faces span 2^20 vectors
+
+
+def test_circuit_rank_test_matches_per_circuit_sieve_on_random_complexes():
+    # seeded random pure 1- to 3-complexes on 4 to 9 vertices, every skeleton
+    import itertools
+    import random
+
+    rng = random.Random(309)
+    decided = 0
+    for _ in range(150):
+        n, dim = rng.randint(4, 9), rng.randint(1, 3)
+        pool = list(itertools.combinations(range(n), dim + 1))
+        c = Complex(n, [Face.of(t) for t in rng.sample(pool, rng.randint(1, min(len(pool), 30)))])
+        for d in range(1, c.dim + 1):
+            masks = [f.mask for f in sorted(c.faces(d), key=lambda f: f.vertices)]
+            decided += _assert_sieve_matches_oracle(masks, 1 << 12, _per_circuit_sieve)
+    assert decided > 150
+
+
+@pytest.mark.parametrize("nullity", range(12, 18))
+def test_circuit_rank_test_on_graphs_with_few_pivot_rows(nullity):
+    # d = 1 on 7 or 8 vertices: a kernel of 2^12 to 2^17 vectors over at
+    # most 7 pivot rows, the shape of sphere_with_inner_tetrahedron at d = 1
+    import itertools
+    import random
+
+    from chorded.cycles import nullity as cycle_nullity
+
+    rng = random.Random(nullity)
+    n = 7 if nullity <= 14 else 8
+    pool = [sum(1 << v for v in e) for e in itertools.combinations(range(n), 2)]
+    while True:
+        masks = sorted(rng.sample(pool, nullity + n - 1), key=lambda m: [v for v in range(n) if m >> v & 1])
+        if cycle_nullity(masks) == nullity:
+            break
+    assert _assert_sieve_matches_oracle(masks, 1 << 17, _per_circuit_sieve)
+
+
+def test_circuit_rank_test_across_chunks(monkeypatch):
+    # chunks much smaller than the span, two of them not a power of two
+    from chorded import packed
+    from chorded.corpus import seven_vertex_counterexample, sphere_with_inner_tetrahedron
+    from chorded.cycles import minimal_kernel_supports
+
+    cases = [
+        (sphere_with_inner_tetrahedron(), 1, (97, 1 << 10)),  # nullity 17
+        (seven_vertex_counterexample(), 1, (97, 1 << 10)),  # nullity 15
+        (seven_vertex_counterexample(), 3, (1, 97, 1 << 10)),  # nullity 11
+    ]
+    for c, d, chunks in cases:
+        masks = [f.mask for f in sorted(c.faces(d), key=lambda f: f.vertices)]
+        expected = _per_circuit_sieve(masks, 1 << 17)
+        for chunk in chunks:
+            monkeypatch.setattr(packed, "_CHUNK", chunk)
+            assert minimal_kernel_supports(masks, 1 << 17) == expected
+
+
+@pytest.mark.parametrize("name,d,circuits", [("K7", 2, 89_846), ("seven_vertex_counterexample", 2, 55_726)])
+def test_circuit_counts_at_the_default_cap(name, d, circuits):
+    from chorded.corpus import complete_skeleton, seven_vertex_counterexample
+    from chorded.cycles import minimal_kernel_supports
+
+    c = complete_skeleton(7, 2) if name == "K7" else seven_vertex_counterexample()
+    masks = [f.mask for f in sorted(c.faces(d), key=lambda f: f.vertices)]
+    supports = minimal_kernel_supports(masks, DEFAULT_KERNEL_CAP)
+    assert len(supports) == circuits
+    assert supports == sorted(supports, key=lambda m: (m.bit_count(), m))
+
+
+def test_circuit_rank_test_refuses_before_any_work(monkeypatch):
+    from chorded import packed
+    from chorded.corpus import seven_vertex_counterexample
+    from chorded.cycles import minimal_kernel_supports
+
+    def no_work(*args):
+        raise AssertionError("a refused kernel reached the rank test")
+
+    monkeypatch.setattr(packed, "circuit_supports", no_work)
+    masks = [f.mask for f in sorted(seven_vertex_counterexample().faces(2), key=lambda f: f.vertices)]
+    for cap in (1, 1 << 18, (1 << 19) - 1):
+        with pytest.raises(CapExceeded) as exc:
+            minimal_kernel_supports(masks, cap)
+        assert (exc.value.needed, exc.value.cap) == (1 << 19, cap)
 
 
 def test_window_solver_preimages_sum_to_target():

@@ -21,7 +21,7 @@ from chorded import (
     rank,
 )
 from chorded.corpus import glued_tetrahedra, hollow_tetrahedron
-from chorded.field_linalg import apply_matrix
+from chorded.field_linalg import apply_matrix, gf2_rref
 from chorded.homology import boundary_matrix, sorted_faces
 
 
@@ -40,6 +40,29 @@ def oracle_gf2_rank(rows, ncols):
         r += 1
     return r
 
+
+
+def gf2_rref_oracle(rows):
+    """The column sweep ``gf2_rref`` replaced: for each pivot, OR the remaining rows for the lowest column."""
+    work = [r for r in rows if r]
+    pivots = []
+    r = 0
+    while r < len(work):
+        rest = 0
+        for w in work[r:]:
+            rest |= w
+        if rest == 0:
+            break
+        col = (rest & -rest).bit_length() - 1
+        bit = 1 << col
+        pivot = next(i for i in range(r, len(work)) if work[i] & bit)
+        work[r], work[pivot] = work[pivot], work[r]
+        for i in range(len(work)):
+            if i != r and work[i] & bit:
+                work[i] ^= work[r]
+        pivots.append(col)
+        r += 1
+    return work[: len(pivots)], pivots
 
 def test_field_spec_validation():
     assert parse_field("gf2") == GF2
@@ -187,3 +210,20 @@ def test_kernel_deterministic_for_reordered_input(rp2):
     m2 = boundary_matrix(other, 2, GF2)
     assert kernel_basis(m1, GF2) == kernel_basis(m2, GF2)
     assert list(enumerate_kernel_vectors(m1, 64)) == list(enumerate_kernel_vectors(m2, 64))
+
+
+@pytest.mark.parametrize("width", [1, 7, 63, 64, 65, 130])
+def test_gf2_rref_matches_column_sweep_oracle(width):
+    # seeded random row sets, with empty sets, zero rows and repeated rows,
+    # at widths on both sides of one and two 64-bit words
+    import random
+
+    rng = random.Random(width)
+    assert gf2_rref([]) == gf2_rref_oracle([]) == ([], [])
+    assert gf2_rref([0, 0]) == gf2_rref_oracle([0, 0]) == ([], [])
+    for _ in range(150):
+        density = rng.choice((0.05, 0.2, 0.5, 0.9))
+        rows = [sum(1 << j for j in range(width) if rng.random() < density) for _ in range(rng.randint(0, 2 * width + 3))]
+        rows += [0] * rng.randint(0, 2) + [rng.choice(rows) for _ in range(rng.randint(0, 3)) if rows]
+        rng.shuffle(rows)
+        assert gf2_rref(rows) == gf2_rref_oracle(rows), rows
