@@ -469,9 +469,11 @@ def d_path_components(c: Complex, d: int) -> Partition:
 
 
 def _is_cycle(face_masks: list[int], d: int) -> bool:
-    """Whether the faces form a d-dimensional cycle: nonempty, every face of
-    d+1 vertices, every (d-1)-subface in an even number of them, and one
-    d-path component."""
+    """Whether the faces at these masks form a d-dimensional cycle.
+
+    That is: nonempty, every face of d+1 vertices, every (d-1)-subface in
+    an even number of them, and one d-path component.
+    """
     if not face_masks or any(m.bit_count() != d + 1 for m in face_masks):
         return False
     subfaces = _subface_columns(face_masks)

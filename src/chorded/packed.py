@@ -7,8 +7,8 @@ the same way over vertices.
 ``circuit_supports`` finds the circuits of a kernel, the face-minimal
 cycles, for ``cycles.minimal_kernel_supports``: one rank test per
 coefficient set of the kernel basis, run over all of them at once as
-array elimination, so its Python work grows with the kernel's rows, not
-with its vectors or circuits.
+array elimination.  Python runs once per chunk of 2^16 sets, row and
+slot, not once per vector or circuit.
 
 ``decide_circuits`` decides every circuit at once for
 ``chordality.is_d_chorded``: vertex windows by AND with each vertex's
@@ -96,7 +96,7 @@ def circuit_supports(basis: list[int], ncols: int) -> list[int]:
         keep = need <= left
         x, need, left = x[keep], need[keep], left[keep]
         rank = np.zeros_like(x)
-        vec = np.zeros((slots, x.size), dtype=dtype)
+        slot = np.zeros((slots, x.size), dtype=dtype)
         pivot = np.zeros((slots, x.size), dtype=dtype)
         used = 0
         for r in rows:
@@ -106,10 +106,10 @@ def circuit_supports(basis: list[int], ncols: int) -> list[int]:
             left -= even
             w = v[at]
             for s in range(used):
-                w ^= vec[s, at] * ((w & pivot[s, at]) != 0)
+                w ^= slot[s, at] * ((w & pivot[s, at]) != 0)
             at, w = at[w != 0], w[w != 0]
             if at.size:
-                vec[rank[at], at] = w
+                slot[rank[at], at] = w
                 pivot[rank[at], at] = w & -w
                 rank[at] += 1
                 used = min(used + 1, slots)
