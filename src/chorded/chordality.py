@@ -18,10 +18,19 @@ exists to cross-validate the two routes and is bounded by the caller's cap.
 kernel coefficients (``cycles.minimal_kernel_supports``) and decides every
 one of them in one numpy pass over the packed circuit words
 (``packed.decide_circuits``): vertex windows, completeness, and membership
-by sweeping the pivot columns of the cached per-window solver rows
-(``_window_solver``), so its numpy work grows with the columns and
-vertices the circuits touch, not with the circuits.
-Python runs once per window and once per returned certificate.
+by sweeping the pivot columns of the per-window solver rows, so its numpy
+work grows with the columns and vertices the circuits touch, not with the
+circuits.  The solvers work on int masks only.  ``_window_solver`` caches,
+per complex and d, the d-face masks in column order and the closure's
+(d+1)-sets from one ``_closure_level``; ``_window_basis`` filters both for
+a window (``m & ~wmask == 0``) into the solver triple (window columns,
+window tops, pivot rows over the global columns), built once per window
+within a call.  A passing cycle's chord set comes from its preimage: each
+chosen top's boundary columns are a witness, and the witness columns
+outside the cycle are the chords.  ``_chord_set_holds`` checks it over
+column masks; it is the one chord-set check, and ``verify_chord_set`` and
+``boundary_chord_test`` are thin wrappers over it.  Python runs once per
+window and once per returned certificate.
 
 Cap overruns always surface as ``CapExceeded`` (inconclusive), never as a
 negative verdict.
@@ -32,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
 from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
 from .cycles import (
@@ -135,93 +144,115 @@ def verify_chord_set(
     least two witnesses, each a d-dimensional cycle on strictly fewer
     vertices than the input cycle; the witness faces cover exactly the
     cycle's faces plus the chords; every chord lies in an even number of
-    witnesses and every cycle face in an odd number.
+    witnesses and every cycle face in an odd number.  The faces become
+    columns of their union in ``face_columns`` order, and
+    ``_chord_set_holds`` decides.
     """
     chords = frozenset(chords)
     witnesses = tuple(witnesses)
     d = cycle.dim
-    vmask = cycle.vertex_mask
+    if any(w.dim != d for w in witnesses):
+        return False
+    columns = face_columns(cycle.faces.union(chords, *(w.faces for w in witnesses)))
+    bit = {f: 1 << j for j, f in enumerate(columns)}
+
+    def mask(faces) -> int:
+        return sum(map(bit.__getitem__, faces))
+
     ambient_d = ambient.faces(d)
-    if len(witnesses) < 2:
+    return _chord_set_holds([f.mask for f in columns], mask(f for f in columns if f in ambient_d),
+                            mask(cycle.faces), mask(chords), [mask(w.faces) for w in witnesses], d)
+
+
+def _chord_set_holds(masks: list[int], ambient: int, cycle: int, chords: int, witnesses: list[int], d: int) -> bool:
+    """The chord-set conditions over column masks: the one chord-set check.
+
+    ``masks`` are the columns' vertex masks, ``ambient`` marks the columns
+    that are d-faces of the ambient complex, and the cycle, the chords and
+    each witness are column masks.  Once every witness lies inside the
+    cycle plus the chords, a witness sum equal to the cycle puts each
+    chord in an even number of witnesses and each cycle face in an odd one.
+    """
+    vmask = _vertex_mask(_bits(cycle), masks)
+    if len(witnesses) < 2 or chords & (cycle | ~ambient) or _vertex_mask(_bits(chords), masks) & ~vmask:
         return False
-    for chord in chords:
-        if chord in cycle.faces or chord not in ambient_d or chord.mask & ~vmask:
-            return False
-    union: set[Face] = set()
-    target = cycle.faces | chords
-    nverts = len(cycle.vertices)
+    target = cycle | chords
+    union = total = 0
     for w in witnesses:
-        if w.dim != d or not w.faces <= target:
+        if w & ~target or _vertex_mask(_bits(w), masks).bit_count() >= vmask.bit_count():
             return False
-        if len(w.vertices) >= nverts:
+        if not _is_cycle([masks[j] for j in _bits(w)], d):
             return False
-        if not _is_cycle([f.mask for f in w.faces], d):
-            return False
-        union |= w.faces
-    if union != target:
-        return False
-    for chord in chords:
-        if sum(chord in w.faces for w in witnesses) % 2 != 0:
-            return False
-    for face in cycle.faces:
-        if sum(face in w.faces for w in witnesses) % 2 != 1:
-            return False
-    return True
+        union |= w
+        total ^= w
+    return union == target and total == cycle
 
 
-@lru_cache(maxsize=32768)
-def _window_solver(
-    ambient: Complex, d: int, wmask: int
-) -> tuple[tuple[Face, ...], dict[int, int], dict[int, tuple[int, int]]]:
+@lru_cache(maxsize=256)
+def _window_solver(ambient: Complex, d: int) -> tuple[list[int], list[int]]:
+    """The whole complex's share of every window solver, built once per (complex, d).
+
+    Returns the d-face masks in ``face_columns`` order and the (d+1)-sets
+    of the d-closure (those whose (d+1)-subsets are all d-faces) in the
+    same vertex-tuple order.  ``_window_basis`` filters both for a window.
+    """
+    masks = [f.mask for f in face_columns(ambient.faces(d))]
+    tops = sorted(_closure_level(masks, ambient.vertex_count), key=lambda m: tuple(_bits(m)))
+    return masks, tops
+
+
+def _top_row(top: int, column: dict[int, int]) -> int:
+    """The boundary of a (d+1)-set as a mask over the global d-face columns."""
+    row = 0
+    for v in _bits(top):
+        row |= 1 << column[top ^ (1 << v)]
+    return row
+
+
+def _window_basis(
+    solver: tuple[list[int], list[int]], wmask: int
+) -> tuple[dict[int, int], tuple[int, ...], dict[int, tuple[int, int]]]:
     """Reusable GF(2) boundary-membership solver for one vertex window.
 
-    Returns the closure's (d+1)-faces, the column of each window d-face
-    (keyed by face mask), and a reduced row basis of the boundary image: a
-    map from pivot bit to ``(row_mask, tracking_mask)`` where ``row_mask``
-    is a combination of boundary columns over the d-face index space and
-    ``tracking_mask`` records which (d+1)-faces were combined into it.
+    Filters a ``_window_solver`` entry to the window's d-faces and closure
+    (d+1)-sets (``m & ~wmask == 0``), keeping their order.  Returns the
+    global column of each window d-face (keyed by face mask), the window's
+    (d+1)-sets, and a reduced row basis of the boundary image: a map from
+    pivot bit to ``(row_mask, tracking_mask)``, where ``row_mask`` is a
+    combination of boundary columns over the global d-face columns and
+    ``tracking_mask`` records which of the window's (d+1)-sets were
+    combined into it.  The column map preserves order, so the pivots and
+    tracking masks are those of a solver built on the window alone.
     """
-    column = {f.mask: i for i, f in enumerate(faces_within(ambient, d, wmask))}
-    # the window closure's (d+1)-faces: the sets whose (d+1)-subsets are all window d-faces
-    tops = tuple(face_columns(Face(m) for m in _closure_level(column.keys(), ambient.vertex_count)))
-    pivot_map: dict[int, tuple[int, int]] = {}
-    for j, g in enumerate(tops):
-        m = 0
-        for v in g.vertices:
-            m |= 1 << column[g.mask ^ (1 << v)]
+    masks, tops = solver
+    column = {m: j for j, m in enumerate(masks) if not m & ~wmask}
+    tops = tuple(t for t in tops if not t & ~wmask)
+    pivots: dict[int, tuple[int, int]] = {}
+    for j, top in enumerate(tops):
+        m = _top_row(top, column)
         track = 1 << j
         while m:
             low = m & -m
-            hit = pivot_map.get(low)
+            hit = pivots.get(low)
             if hit is None:
-                pivot_map[low] = (m, track)
+                pivots[low] = (m, track)
                 break
             m ^= hit[0]
             track ^= hit[1]
-    return tops, column, pivot_map
+    return column, tops, pivots
 
 
-def _window_boundary_preimage(
-    ambient: Complex, d: int, wmask: int, face_masks
-) -> tuple[int, tuple[Face, ...]] | None:
-    """Preimage of a sum of d-faces (given by mask) under the window solver, or None.
-
-    Returns ``(top_mask, tops)`` identifying which closure (d+1)-faces sum
-    to the given d-faces.
-    """
-    tops, column, pivot_map = _window_solver(ambient, d, wmask)
-    rhs = 0
-    for m in face_masks:
-        rhs |= 1 << column[m]
+def _preimage(pivots: dict[int, tuple[int, int]], rhs: int) -> int | None:
+    """The tracking mask of window (d+1)-sets whose boundaries sum to the columns ``rhs``, or None."""
     acc = 0
     while rhs:
         low = rhs & -rhs
-        hit = pivot_map.get(low)
+        hit = pivots.get(low)
         if hit is None:
             return None
         rhs ^= hit[0]
         acc ^= hit[1]
-    return acc, tops
+    return acc
 
 
 def _vertex_mask(cols, masks: list[int]) -> int:
@@ -232,11 +263,25 @@ def _vertex_mask(cols, masks: list[int]) -> int:
     return vmask
 
 
-def _complete_cycle_on(vertex_mask: int, d: int) -> CycleRecord:
-    """The d-dimensional complete cycle on a (d+2)-vertex set."""
-    verts = Face(vertex_mask).vertices
-    faces = frozenset(Face.of(combo) for combo in itertools.combinations(verts, d + 1))
-    return CycleRecord(d, faces)
+def _chord_set(basis, support: int, masks: list[int], faces_at: FaceSets, d: int) -> ChordSetRecord | None:
+    """The verified boundary certificate of a cycle (a column mask) from its window's basis, or None.
+
+    Witness i is the boundary of the i-th chosen (d+1)-set, and the chords
+    are the witness columns outside the cycle.
+    """
+    column, tops, pivots = basis
+    chosen = _preimage(pivots, support)
+    if chosen is None:
+        return None
+    witnesses = [_top_row(tops[j], column) for j in _bits(chosen)]
+    chords = 0
+    for w in witnesses:
+        chords |= w
+    chords &= ~support
+    if not _chord_set_holds(masks, (1 << len(masks)) - 1, support, chords, witnesses, d):
+        raise AssertionError("boundary certificate failed chord-set verification")
+    witness_records = tuple(CycleRecord(d, faces_at(w)) for w in witnesses)
+    return ChordSetRecord(faces_at(chords), witness_records, "boundary_certificate")
 
 
 def boundary_chord_test(
@@ -250,6 +295,11 @@ def boundary_chord_test(
     preimage faces yield the chord set and its complete-cycle witnesses,
     which are verified before being returned.  Returns ``None`` when the
     sum is not a boundary.
+
+    ``cap`` is never read, and it bounds nothing: the membership test is
+    one polynomial elimination over the window, with no exponential work
+    for a cap to refuse (caps tell the truth).  It stays in the signature
+    for the callers that pass it.
     """
     d = cycle.dim
     _require_pure(ambient, d, "boundary_chord_test")
@@ -257,24 +307,11 @@ def boundary_chord_test(
         raise InputError("boundary_chord_test expects a non-d-complete cycle")
     if nullity([f.mask for f in cycle.faces]) != 1:
         raise InputError("boundary_chord_test expects a face-minimal cycle")
-
-    solved = _window_boundary_preimage(ambient, d, cycle.vertex_mask, [f.mask for f in cycle.faces])
-    if solved is None:
-        return None
-    top_mask, tops = solved
-    chosen = face_columns(faces_of(top_mask, tops))
-    chord_faces: set[Face] = set()
-    witnesses = []
-    for g in chosen:
-        witnesses.append(_complete_cycle_on(g.mask, d))
-        for v in g.vertices:
-            sub = g.without(v)
-            if sub not in cycle.faces:
-                chord_faces.add(sub)
-    record = ChordSetRecord(frozenset(chord_faces), tuple(witnesses), "boundary_certificate")
-    if not verify_chord_set(record.chords, cycle, ambient, record.witnesses):
-        raise AssertionError("boundary certificate failed chord-set verification")
-    return record
+    solver = _window_solver(ambient, d)
+    faces = face_columns(ambient.faces(d))
+    column = {f: j for j, f in enumerate(faces)}
+    support = sum(1 << column[f] for f in cycle.faces)
+    return _chord_set(_window_basis(solver, cycle.vertex_mask), support, solver[0], FaceSets(faces), d)
 
 
 def exhaustive_chord_set_search(
@@ -383,13 +420,22 @@ def is_d_chorded(
         return DChordedResult(d, True, (), 0)
     from . import packed  # numpy code, compiled on first use like numpy itself
 
+    solver = _window_solver(c, d)
+    bases: dict[int, tuple] = {}  # vertex window -> its _window_basis, within this call
+
+    def basis(wmask: int) -> tuple:
+        if wmask not in bases:
+            bases[wmask] = _window_basis(solver, wmask)
+        return bases[wmask]
+
     complete, non_complete, shown = packed.decide_circuits(
-        supports, masks, c.vertex_count, d, partial(_window_solver, c, d), certificate_limit)
+        supports, masks, c.vertex_count, d, basis, certificate_limit)
     certificates: list[tuple[CycleRecord, ChordSetRecord | None]] = []
     faces_at = FaceSets(faces)
     for support, passes in shown:
         record = CycleRecord(d, faces_at(support), face_minimal=True)
-        certificates.append((record, boundary_chord_test(record, c, cap) if passes else None))
+        chord_set = _chord_set(basis(record.vertex_mask), support, masks, faces_at, d) if passes else None
+        certificates.append((record, chord_set))
     return DChordedResult(
         d,
         all(passes for _, passes in shown),

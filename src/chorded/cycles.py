@@ -144,27 +144,33 @@ def faces_of(mask: int, faces: list[Face]) -> frozenset[Face]:
     return frozenset(out)
 
 
+class _ByteFaces(dict):
+    """Byte value -> frozenset of the faces at its set bits, among eight faces; built on first use."""
+
+    def __init__(self, faces: list[Face]):
+        super().__init__()
+        self.faces = faces
+
+    def __missing__(self, byte: int) -> frozenset[Face]:
+        part = self[byte] = frozenset(self.faces[j] for j in _bits(byte))
+        return part
+
+
 class FaceSets:
     """``faces_of`` over one face list, memoised for many masks.
 
-    A mask's face set is the union of memoised per-byte frozensets, and
-    frozenset union reuses the stored hashes, so no face is hashed again.
+    A mask's face set is the union of memoised per-byte frozensets, looked
+    up at C speed (one ``_ByteFaces`` per byte position, mapped over the
+    mask's bytes), and frozenset union reuses the stored hashes, so no face
+    is hashed again.
     """
 
     def __init__(self, faces: list[Face]):
-        self.faces = faces
         self.nbytes = max(1, -(-len(faces) // 8))
-        self.memo: dict[tuple[int, int], frozenset[Face]] = {}
+        self.parts = [_ByteFaces(faces[i:i + 8]) for i in range(0, 8 * self.nbytes, 8)]
 
     def __call__(self, mask: int) -> frozenset[Face]:
-        parts = []
-        for i, byte in enumerate(mask.to_bytes(self.nbytes, "little")):
-            if byte:
-                part = self.memo.get((i, byte))
-                if part is None:
-                    part = self.memo[(i, byte)] = frozenset(self.faces[8 * i + j] for j in _bits(byte))
-                parts.append(part)
-        return frozenset().union(*parts)
+        return frozenset().union(*map(dict.__getitem__, self.parts, mask.to_bytes(self.nbytes, "little")))
 
 
 def _subface_columns(face_masks: list[int]) -> dict[int, int]:

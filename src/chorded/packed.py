@@ -13,10 +13,11 @@ slot, not once per vector or circuit.
 ``decide_circuits`` decides every circuit at once for
 ``chordality.is_d_chorded``: vertex windows by AND with each vertex's
 column mask, completeness by popcount, and closure-window membership by
-sweeping the pivot columns of the windows' solver rows, packed once and
-keyed by (pivot column, window).  Its numpy work grows with the columns
-and vertices the circuits touch, not with the circuits; Python runs once
-per window, and memory grows with the circuits and the solver rows.
+sweeping the pivot columns of the windows' solver rows (already masks
+over the global columns), packed once and keyed by (pivot column,
+window).  Its numpy work grows with the columns and vertices the
+circuits touch, not with the circuits; Python runs once per window, and
+memory grows with the circuits and the solver rows.
 
 The module imports numpy at the top, so ``cycles`` and ``chordality``
 import it on first use: importing the package neither loads numpy nor
@@ -133,7 +134,9 @@ def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, 
     """Decide which circuits need a chord set and which of those have one.
 
     ``supports`` are column masks over the d-faces ``masks``; ``solver``
-    maps a vertex window to its ``chordality._window_solver`` triple.
+    maps a vertex window to its mask-native solver triple
+    (``chordality._window_basis``: window columns, window tops, and pivot
+    rows as masks over these same global columns).
     Returns (complete circuits, non-complete circuits, the shown ones):
     the first ``limit`` non-complete circuits whose face sum bounds plus
     every one whose sum does not, as (support, bounds) pairs in
@@ -147,7 +150,7 @@ def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, 
     complete = sizes == full[_row_popcount(windows).astype(np.intp)]
     rest = np.flatnonzero(~complete)  # the circuits that need a chord set
     circuits, windows, sizes = circuits[rest], windows[rest], sizes[rest]
-    bounds = _bounding(circuits, windows, masks, solver)
+    bounds = _bounding(circuits, windows, len(masks), solver)
     # columns follow the vertex-tuple order, and column tuples of one size
     # sort as the bit-reversed masks in reverse
     order = np.lexsort([~_bit_reversed(circuits[:, k]) for k in reversed(range(circuits.shape[1]))] + [sizes])
@@ -191,32 +194,30 @@ def _row_popcount(rows):
     return sum(_popcount(rows[:, k]) for k in range(rows.shape[1]))
 
 
-def _bounding(circuits, windows, masks: list[int], solver):
+def _bounding(circuits, windows, ncols: int, solver):
     """Whether each packed circuit's face sum is a (d+1)-boundary in its closure window.
 
     The circuits are grouped by window, and each window's solver rows,
-    mapped to global columns, are packed once, keyed by (pivot column,
-    window).  A row's pivot is its lowest bit, and the map keeps column
-    order, so sweeping the pivots in ascending order and clearing each
-    circuit's bit at every pivot of its window reduces all circuits
-    exactly.  A bit with no pivot in the circuit's window stays set, and
-    the circuit does not bound.  Memory grows with the solver rows.
+    already masks over the global columns, are packed once, keyed by
+    (pivot column, window).  A row's pivot is its lowest bit, so sweeping
+    the pivots in ascending order and clearing each circuit's bit at every
+    pivot of its window reduces all circuits exactly.  A bit with no pivot
+    in the circuit's window stays set, and the circuit does not bound.
+    Memory grows with the solver rows.
     """
     keys, inverse = np.unique(windows, axis=0, return_inverse=True)
     inverse = inverse.reshape(-1)  # numpy 2.0.0 gave the row form's inverse the input's shape
-    column = {m: j for j, m in enumerate(masks)}
     rows: list[int] = []
     at: list[int] = []  # pivot column * windows + window, of each row
     for w, key in enumerate(keys.tolist()):
-        _, local, pivots = solver(sum(word << (64 * k) for k, word in enumerate(key)))
-        to_global = [column[m] for m in local]  # increasing: both orders are face_columns order
+        _, _, pivots = solver(sum(word << (64 * k) for k, word in enumerate(key)))
         for low, (row, _) in pivots.items():
-            rows.append(sum(1 << to_global[j] for j in _bits(row)))
-            at.append(to_global[low.bit_length() - 1] * len(keys) + w)
+            rows.append(row)
+            at.append((low.bit_length() - 1) * len(keys) + w)
     swept = sorted({a // len(keys) for a in at})  # a bare np.unique would import numpy.ma, about 1 MB
     at = np.array(at, dtype=np.int64)
     order = np.argsort(at)
-    at, table = at[order], _pack(rows, len(masks))[order]
+    at, table = at[order], _pack(rows, ncols)[order]
     residue = circuits.copy()
     for p in swept:
         hit = np.flatnonzero(residue[:, p >> 6] & np.uint64(1 << (p & 63)))

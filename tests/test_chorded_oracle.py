@@ -1,36 +1,163 @@
-"""``is_d_chorded`` against the per-circuit loop it replaced.
+"""``is_d_chorded`` against the per-circuit, Face-level loop it replaced.
 
 ``circuit_loop_is_d_chorded`` is ``is_d_chorded`` as it stood before the
-array pass: for each circuit of the sieve it takes the column tuple and the
-vertex window in Python, counts the circuit as complete when it has
-C(window size, d+1) faces, and otherwise runs ``_window_boundary_preimage``
-on it; then it sorts by (size, column tuple) and builds the records with
-``faces_of``.  The array pass must return an equal ``DChordedResult``
-(verdict, both counts, every certificate's cycle, chords, witnesses and
-source, in the same order), or the same refusal, at certificate limits
-None, 0, 3 and 128, on seeded random pure complexes at d = 1, 2, 3 (some
-with more than 64 faces and more than 64 vertices), on a long chorded
-cycle graph, on large sparse complexes with a few circuits and on every
-corpus file at every dimension.
+array pass and the mask-native window solver: for each circuit of the
+sieve it takes the column tuple and the vertex window in Python, counts
+the circuit as complete when it has C(window size, d+1) faces, and
+otherwise runs ``window_boundary_preimage`` on it; then it sorts by
+(size, column tuple), builds the records with ``faces_of`` and the chord
+sets with ``face_boundary_chord_test``.  Those, with ``window_solver``
+(``faces_within`` and ``_closure_level`` per window, ``Face`` tops),
+``complete_cycle_on`` and ``face_verify_chord_set``, are the Face-level
+solver and checker kept here as an oracle: they share no solver or
+checker code with ``chordality``.  The array pass must return an equal
+``DChordedResult`` (verdict, both counts, every certificate's cycle,
+chords, witnesses and source, in the same order), or the same refusal, at
+certificate limits None, 0, 3 and 128, on seeded random pure complexes at
+d = 1, 2, 3 (some with more than 64 faces and more than 64 vertices), on a
+long chorded cycle graph, on large sparse complexes with a few circuits
+and on every corpus file at every dimension.  The derived window solvers
+must equal the per-window ones, and both chord-set checks must reject a
+break of each chord-set condition.
 """
 
 import itertools
 import math
 import random
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
 
-from chorded import CapExceeded, Complex, Face, chordality, is_d_chorded, pure_skeleton
-from chorded.chordality import DChordedResult, _window_boundary_preimage, boundary_chord_test
+from chorded import CapExceeded, Complex, Face, InputError, chordality, is_d_chorded, pure_skeleton
+from chorded.chordality import ChordSetRecord, DChordedResult
 from chorded.cli import parse_facet_file
-from chorded.corpus import cycle_graph
-from chorded.complex_core import _bits, _require_pure
-from chorded.cycles import CycleRecord, face_columns, faces_of, minimal_kernel_supports, nullity
+from chorded.corpus import bipyramid_with_chord, cycle_graph, hexagon_with_long_chords
+from chorded.complex_core import _bits, _closure_level, _require_pure
+from chorded.cycles import (
+    CycleRecord,
+    _is_cycle,
+    face_columns,
+    faces_of,
+    faces_within,
+    minimal_kernel_supports,
+    nullity,
+)
 from chorded.field_linalg import DEFAULT_KERNEL_CAP
 
 CORPUS = sorted((Path(__file__).resolve().parent.parent / "corpus").glob("*.facets"))
 LIMITS = (None, 0, 3, 128)
+
+
+def face_verify_chord_set(chords, cycle: CycleRecord, ambient: Complex, witnesses) -> bool:
+    """The chord-set conditions checked face by face."""
+    chords = frozenset(chords)
+    witnesses = tuple(witnesses)
+    d = cycle.dim
+    vmask = cycle.vertex_mask
+    ambient_d = ambient.faces(d)
+    if len(witnesses) < 2:
+        return False
+    for chord in chords:
+        if chord in cycle.faces or chord not in ambient_d or chord.mask & ~vmask:
+            return False
+    union: set[Face] = set()
+    target = cycle.faces | chords
+    nverts = len(cycle.vertices)
+    for w in witnesses:
+        if w.dim != d or not w.faces <= target:
+            return False
+        if len(w.vertices) >= nverts:
+            return False
+        if not _is_cycle([f.mask for f in w.faces], d):
+            return False
+        union |= w.faces
+    if union != target:
+        return False
+    for chord in chords:
+        if sum(chord in w.faces for w in witnesses) % 2 != 0:
+            return False
+    for face in cycle.faces:
+        if sum(face in w.faces for w in witnesses) % 2 != 1:
+            return False
+    return True
+
+
+@lru_cache(maxsize=4096)
+def window_solver(ambient: Complex, d: int, wmask: int):
+    """One vertex window's GF(2) boundary solver, built on the window alone.
+
+    Returns the closure's (d+1)-faces, the local column of each window
+    d-face (keyed by face mask), and a map from pivot bit to
+    ``(row_mask, tracking_mask)`` over the local columns and tops.
+    """
+    column = {f.mask: i for i, f in enumerate(faces_within(ambient, d, wmask))}
+    tops = tuple(face_columns(Face(m) for m in _closure_level(column.keys(), ambient.vertex_count)))
+    pivot_map: dict[int, tuple[int, int]] = {}
+    for j, g in enumerate(tops):
+        m = 0
+        for v in g.vertices:
+            m |= 1 << column[g.mask ^ (1 << v)]
+        track = 1 << j
+        while m:
+            low = m & -m
+            hit = pivot_map.get(low)
+            if hit is None:
+                pivot_map[low] = (m, track)
+                break
+            m ^= hit[0]
+            track ^= hit[1]
+    return tops, column, pivot_map
+
+
+def window_boundary_preimage(ambient: Complex, d: int, wmask: int, face_masks):
+    """``(tracking mask, tops)`` of the window tops whose boundaries sum to the faces, or None."""
+    tops, column, pivot_map = window_solver(ambient, d, wmask)
+    rhs = 0
+    for m in face_masks:
+        rhs |= 1 << column[m]
+    acc = 0
+    while rhs:
+        low = rhs & -rhs
+        hit = pivot_map.get(low)
+        if hit is None:
+            return None
+        rhs ^= hit[0]
+        acc ^= hit[1]
+    return acc, tops
+
+
+def complete_cycle_on(vertex_mask: int, d: int) -> CycleRecord:
+    """The d-dimensional complete cycle on a (d+2)-vertex set."""
+    verts = Face(vertex_mask).vertices
+    return CycleRecord(d, frozenset(Face.of(combo) for combo in itertools.combinations(verts, d + 1)))
+
+
+def face_boundary_chord_test(cycle: CycleRecord, ambient: Complex) -> ChordSetRecord | None:
+    """The boundary certificate built face by face, verified face by face."""
+    d = cycle.dim
+    _require_pure(ambient, d, "boundary_chord_test")
+    if cycle.is_complete():
+        raise InputError("boundary_chord_test expects a non-d-complete cycle")
+    if nullity([f.mask for f in cycle.faces]) != 1:
+        raise InputError("boundary_chord_test expects a face-minimal cycle")
+    solved = window_boundary_preimage(ambient, d, cycle.vertex_mask, [f.mask for f in cycle.faces])
+    if solved is None:
+        return None
+    top_mask, tops = solved
+    chosen = face_columns(faces_of(top_mask, tops))
+    chord_faces: set[Face] = set()
+    witnesses = []
+    for g in chosen:
+        witnesses.append(complete_cycle_on(g.mask, d))
+        for v in g.vertices:
+            sub = g.without(v)
+            if sub not in cycle.faces:
+                chord_faces.add(sub)
+    record = ChordSetRecord(frozenset(chord_faces), tuple(witnesses), "boundary_certificate")
+    if not face_verify_chord_set(record.chords, cycle, ambient, record.witnesses):
+        raise AssertionError("boundary certificate failed chord-set verification")
+    return record
 
 
 def circuit_loop_is_d_chorded(c: Complex, d: int, cap: int = DEFAULT_KERNEL_CAP,
@@ -49,7 +176,7 @@ def circuit_loop_is_d_chorded(c: Complex, d: int, cap: int = DEFAULT_KERNEL_CAP,
         if len(cols) == math.comb(vmask.bit_count(), d + 1):
             complete_count += 1
             continue
-        bounds = _window_boundary_preimage(c, d, vmask, [masks[j] for j in cols]) is not None
+        bounds = window_boundary_preimage(c, d, vmask, [masks[j] for j in cols]) is not None
         cycles.append(((len(cols), cols), support, bounds))
     cycles.sort()
     failing = [entry for entry in cycles if not entry[2]]
@@ -57,7 +184,7 @@ def circuit_loop_is_d_chorded(c: Complex, d: int, cap: int = DEFAULT_KERNEL_CAP,
     certificates = []
     for _, support, bounds in sorted(shown):
         record = CycleRecord(d, faces_of(support, faces), face_minimal=True)
-        certificates.append((record, boundary_chord_test(record, c, cap) if bounds else None))
+        certificates.append((record, face_boundary_chord_test(record, c) if bounds else None))
     return DChordedResult(d, not failing, tuple(certificates), complete_count, non_complete_cycles=len(cycles))
 
 
@@ -254,3 +381,94 @@ def test_cap_refusal_point_matches_circuit_loop(counterexample7):
     with pytest.raises(CapExceeded) as err:
         is_d_chorded(c, 1, (1 << k) - 1)
     assert (err.value.needed, err.value.cap) == (1 << k, (1 << k) - 1)
+
+
+def test_derived_window_solvers_match_per_window_solvers():
+    """Every vertex window of every corpus skeleton: same columns, tops, pivots and preimages."""
+    windows = 0
+    for path in CORPUS:
+        c = parse_facet_file(path.read_text(encoding="utf-8"))
+        assert c.vertex_count <= 10
+        for d in range(c.dim + 1):
+            sk = pure_skeleton(c, d)
+            solver = chordality._window_solver(sk, d)
+            for wmask in range(1 << sk.vertex_count):
+                tops_o, column_o, pivots_o = window_solver(sk, d, wmask)
+                column, tops, pivots = chordality._window_basis(solver, wmask)
+                assert list(column) == list(column_o)
+                assert tops == tuple(g.mask for g in tops_o)
+                glob = list(column.values())
+
+                def to_global(m):
+                    return sum(1 << glob[j] for j in _bits(m))
+
+                assert pivots == {to_global(low): (to_global(row), track) for low, (row, track) in pivots_o.items()}
+                windows += 1
+            masks = solver[0]
+            pivots = {w: chordality._window_basis(solver, w)[2] for w in range(1 << sk.vertex_count)}
+            for support in minimal_kernel_supports(masks, DEFAULT_KERNEL_CAP):
+                vmask = chordality._vertex_mask(_bits(support), masks)
+                expected = window_boundary_preimage(sk, d, vmask, [masks[j] for j in _bits(support)])
+                got = chordality._preimage(pivots[vmask], support)
+                assert got == (None if expected is None else expected[0])
+    assert windows > 1000
+
+
+def edges(*pairs) -> frozenset:
+    return frozenset(Face.of(p) for p in pairs)
+
+
+def chord_set_cases() -> dict:
+    """A valid chord set of a hexagon, then one break of each chord-set condition.
+
+    Each entry is (chords, cycle, ambient, witnesses).  Where a condition
+    can be broken alone, every other condition still holds.
+    """
+    hexagon = CycleRecord(1, edges((0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (0, 5)))
+    chords = edges((0, 2), (2, 4), (0, 4))
+    triangles = [CycleRecord(1, edges(*t)) for t in (((0, 1), (1, 2), (0, 2)), ((2, 3), (3, 4), (2, 4)),
+                                                     ((4, 5), (0, 5), (0, 4)), ((0, 2), (2, 4), (0, 4)))]
+    ambient = Complex(6, hexagon.faces | chords)
+    x = 6  # a vertex outside the hexagon
+    return {
+        "valid": (chords, hexagon, ambient, triangles),
+        "chord_not_an_ambient_face": (chords, hexagon, Complex(6, hexagon.faces | edges((0, 2), (2, 4))), triangles),
+        "chord_in_the_cycle": (chords | edges((0, 1)), hexagon, ambient, triangles),
+        "chord_outside_the_window": (
+            edges((0, x), (3, x)), hexagon, Complex(7, hexagon.faces | edges((0, x), (3, x))),
+            [CycleRecord(1, edges((0, 1), (1, 2), (2, 3), (3, x), (0, x))),
+             CycleRecord(1, edges((3, 4), (4, 5), (0, 5), (3, x), (0, x)))]),
+        "one_witness": (frozenset(), hexagon, ambient, [hexagon]),
+        "witness_on_as_many_vertices": (chords, hexagon, ambient, [hexagon, triangles[3], triangles[3]]),
+        "witness_not_a_cycle": (chords, hexagon, ambient, triangles + [CycleRecord(1, edges((0, 2)))] * 2),
+        "witness_outside_faces_and_chords": (edges((0, 2), (2, 4)), hexagon, ambient, triangles),
+        "union_short_of_faces_and_chords": (
+            chords | edges((1, 3)), hexagon, Complex(6, hexagon.faces | chords | edges((1, 3))), triangles),
+        "odd_chord_parity": (chords, hexagon, ambient, triangles[:3]),
+        "even_face_parity": (chords, hexagon, ambient, triangles * 2),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(chord_set_cases()))
+def test_both_chord_set_checks_reject_each_broken_condition(case):
+    chords, cycle, ambient, witnesses = chord_set_cases()[case]
+    holds = case == "valid"
+    # verify_chord_set is the mask-level check over the faces' columns
+    assert chordality.verify_chord_set(chords, cycle, ambient, witnesses) is holds
+    assert face_verify_chord_set(chords, cycle, ambient, witnesses) is holds
+
+
+def test_mask_level_check_rejects_a_chord_in_the_cycle_by_itself():
+    """With a cycle face among the chords, the witness sum still equals the cycle; only the chord clause fails."""
+    chords, cycle, ambient, witnesses = chord_set_cases()["chord_in_the_cycle"]
+    columns = face_columns(ambient.faces(1))
+    col = {f: j for j, f in enumerate(columns)}
+
+    def mask(faces):
+        return sum(1 << col[f] for f in faces)
+
+    masks = [f.mask for f in columns]
+    everything = (1 << len(masks)) - 1
+    ws = [mask(w.faces) for w in witnesses]
+    assert chordality._chord_set_holds(masks, everything, mask(cycle.faces), mask(chords - cycle.faces), ws, 1)
+    assert not chordality._chord_set_holds(masks, everything, mask(cycle.faces), mask(chords), ws, 1)

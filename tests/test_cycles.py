@@ -442,24 +442,24 @@ def test_circuit_rank_test_refuses_before_any_work(monkeypatch):
 
 
 def test_window_solver_preimages_sum_to_target():
-    from chorded.chordality import _window_boundary_preimage
+    from chorded.chordality import _preimage, _window_basis, _window_solver
+    from chorded.complex_core import _bits
     from chorded.corpus import bipyramid_with_chord, octahedron_with_axis_chords
 
     for ambient in (bipyramid_with_chord(), octahedron_with_axis_chords()):
+        solver = _window_solver(ambient, 2)
         for record in enumerate_cycles_within(ambient, 2, range(ambient.vertex_count)):
-            solved = _window_boundary_preimage(ambient, 2, record.vertex_mask, [f.mask for f in record.faces])
-            if solved is None:
+            column, tops, pivots = _window_basis(solver, record.vertex_mask)
+            chosen = _preimage(pivots, sum(1 << column[f.mask] for f in record.faces))
+            if chosen is None:
                 continue
-            top_mask, tops = solved
             acc = {}
-            for j, g in enumerate(tops):
-                if not top_mask >> j & 1:
-                    continue
-                for v in g.vertices:
-                    sub = g.without(v)
+            for j in _bits(chosen):
+                for v in _bits(tops[j]):
+                    sub = tops[j] ^ (1 << v)
                     acc[sub] = acc.get(sub, 0) ^ 1
-            summed = {f for f, parity in acc.items() if parity}
-            assert summed == set(record.faces)
+            summed = {m for m, parity in acc.items() if parity}
+            assert summed == {f.mask for f in record.faces}
 
 
 def brute_force_orientable(record):
