@@ -32,7 +32,7 @@ import pytest
 from chorded import CapExceeded, Complex, Face, InputError, chordality, is_d_chorded, pure_skeleton
 from chorded.chordality import ChordSetRecord, DChordedResult
 from chorded.cli import parse_facet_file
-from chorded.corpus import bipyramid_with_chord, cycle_graph, hexagon_with_long_chords
+from chorded.corpus import cycle_graph
 from chorded.complex_core import _bits, _closure_level, _require_pure
 from chorded.cycles import (
     CycleRecord,
