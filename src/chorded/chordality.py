@@ -284,9 +284,7 @@ def _chord_set(basis, support: int, masks: list[int], faces_at: FaceSets, d: int
     return ChordSetRecord(faces_at(chords), witness_records, "boundary_certificate")
 
 
-def boundary_chord_test(
-    cycle: CycleRecord, ambient: Complex, cap: int = DEFAULT_KERNEL_CAP
-) -> ChordSetRecord | None:
+def boundary_chord_test(cycle: CycleRecord, ambient: Complex) -> ChordSetRecord | None:
     """Decide chord-set existence through GF(2) boundary membership.
 
     Requires a face-minimal, non-d-complete cycle inside a pure
@@ -294,12 +292,9 @@ def boundary_chord_test(
     faces is a (d+1)-boundary of the induced d-closure; on success the
     preimage faces yield the chord set and its complete-cycle witnesses,
     which are verified before being returned.  Returns ``None`` when the
-    sum is not a boundary.
-
-    ``cap`` is never read, and it bounds nothing: the membership test is
-    one polynomial elimination over the window, with no exponential work
-    for a cap to refuse (caps tell the truth).  It stays in the signature
-    for the callers that pass it.
+    sum is not a boundary.  It takes no cap: the membership test is one
+    polynomial elimination over the window, with no exponential work for a
+    cap to refuse.
     """
     d = cycle.dim
     _require_pure(ambient, d, "boundary_chord_test")

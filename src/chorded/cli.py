@@ -420,7 +420,7 @@ def _run(argv: list[str]) -> tuple[dict, int, argparse.Namespace | None]:
                 settings["orientable"] = True
             body = handler(c, args)
             code = EXIT_OK
-    except (ParseError, InputError, PurityError, ShapeError, FileNotFoundError, UnicodeDecodeError) as exc:
+    except (ParseError, InputError, PurityError, ShapeError, OSError, UnicodeDecodeError) as exc:
         body = {"error": str(exc), "kind": type(exc).__name__}
         code = EXIT_INPUT
     except CapExceeded as exc:
@@ -445,8 +445,12 @@ def main(argv: list[str] | None = None) -> int:
         text = serialize_report(report)
         sys.stdout.write(text)
         if args.json is not None:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            try:
+                with open(args.json, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as exc:
+                sys.stderr.write(f"chorded: cannot write --json report: {exc}\n")
+                return EXIT_INPUT
     return code
 
 

@@ -9,16 +9,17 @@ kernel has 2^nullity vectors, and the enumerations take them from one
 sorted span under a configurable cap rather than using support-closure
 heuristics.
 
-``_sorted_span`` packs the kernel span into 64-bit words and sorts it by
-(popcount, mask).  ``iter_cycle_supports`` yields its connected vectors
-lazily in that order and is the one enumeration of cycles on a face list
+The packed layout of the kernel span, its (popcount, mask) order and the
+array code over it live in ``packed``, which this module imports on first
+use.  ``iter_cycle_supports`` yields the span's connected vectors lazily in
+that order and is the one enumeration of cycles on a face list
 (``cycle_supports`` lists it), and ``decompose_cycle`` takes its first
-vector.  ``minimal_kernel_supports`` builds no span: a combination of
+cycle.  ``minimal_kernel_supports`` builds no span: a combination of
 kernel basis vectors is a face-minimal cycle exactly when a rank over its
 coefficients is full, and ``packed.circuit_supports`` tests every
-coefficient set at once.  All of them refuse with ``CapExceeded`` before
-any work when the kernel holds more than ``cap`` vectors (default
-``DEFAULT_KERNEL_CAP`` = 2^20).
+coefficient set at once.  Each takes its basis from ``_kernel``, and all
+of them refuse with ``CapExceeded`` before any work when the kernel holds
+more than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).
 Only ``classify_minimality`` still walks a span in Gray-code order
 (``_cycle_walk``), which fixes where its refusals fall.
 
@@ -232,6 +233,12 @@ def nullity(face_masks: list[int]) -> int:
     return len(face_masks) - len(pivots)
 
 
+def _kernel(face_masks: list[int]) -> tuple[dict[int, int], list[int]]:
+    """The boundary rows of the d-faces (``_subface_columns``) and a basis of their GF(2) kernel."""
+    subfaces = _subface_columns(face_masks)
+    return subfaces, gf2_kernel_masks(list(subfaces.values()), len(face_masks))
+
+
 def _check_span(basis: list[int], cap: int) -> None:
     """Refuse a cycle-space basis whose span has more than ``cap`` vectors."""
     if (1 << len(basis)) > cap:
@@ -258,66 +265,25 @@ def _cycle_walk(subfaces: dict[int, int], basis: list[int], ncols: int, cap: int
                 yield comp
 
 
-def _popcount(words):
-    """Per-element bit counts of a uint64 array."""
-    import numpy as np
-
-    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
-    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
-    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
-    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
-
-
-def _sorted_span(subfaces: dict[int, int], ncols: int, cap: int) -> list:
-    """The nonzero kernel vectors, sorted by (popcount, mask).
-
-    One uint64 array per 64 columns, low word first; the sort is one
-    ``np.lexsort`` with the high word most significant.  Refuses with
-    ``CapExceeded`` before any work when the kernel has more than ``cap``
-    vectors.
-    """
-    import numpy as np
-
-    basis = gf2_kernel_masks(list(subfaces.values()), ncols)
-    _check_span(basis, cap)
-    words = []
-    for shift in range(0, ncols, 64):
-        span = np.zeros(1, dtype=np.uint64)
-        for b in basis:
-            span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
-        words.append(span[1:])
-    order = np.lexsort(words + [sum(_popcount(w) for w in words)])
-    return [w[order] for w in words]
-
-
-def _vector(words, i: int) -> int:
-    """The i-th vector of a packed span as a column mask."""
-    return sum(int(w[i]) << (64 * j) for j, w in enumerate(words))
-
-
-_CHUNK = 4096  # span vectors turned into Python ints at a time
-
-
 def iter_cycle_supports(face_masks: list[int], cap: int) -> Iterator[int]:
     """Every d-dimensional cycle on the given d-faces, as a column mask, in (size, mask) order.
 
     The cycles are the nonzero kernel vectors whose support is
     d-path-connected: a d-path component of any kernel support is itself a
     kernel vector, because the faces at a (d-1)-subface are pairwise
-    adjacent.  The span is built and sorted whole (``_sorted_span``) and the
-    connected vectors are yielded lazily, so a search can stop at its first
-    hit.  Refuses with ``CapExceeded`` before the first vector when the
-    kernel has more than ``cap`` vectors.
+    adjacent.  The span is built and sorted whole (``packed.kernel_span``)
+    and the connected vectors are yielded lazily, so a search can stop at
+    its first hit.  Refuses with ``CapExceeded`` before the first vector
+    when the kernel has more than ``cap`` vectors.
     """
     if not face_masks:
         return
-    subfaces = _subface_columns(face_masks)
-    words = _sorted_span(subfaces, len(face_masks), cap)
+    subfaces, basis = _kernel(face_masks)
+    _check_span(basis, cap)
+    from . import packed  # imported on first use, as its docstring says
+
     adj = _column_adjacency(subfaces, len(face_masks))
-    for start in range(0, words[0].size, _CHUNK):
-        vectors = words[0][start:start + _CHUNK].tolist()
-        for j, w in enumerate(words[1:], 1):
-            vectors = [v | hi << (64 * j) for v, hi in zip(vectors, w[start:start + _CHUNK].tolist())]
+    for vectors in packed.kernel_span(basis, len(face_masks)):
         for support in vectors:
             if _component(support & -support, support, adj) == support:
                 yield support
@@ -339,9 +305,9 @@ def minimal_kernel_supports(face_masks: list[int], cap: int) -> list[int]:
     """
     if not face_masks:
         return []
-    basis = gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))
+    _, basis = _kernel(face_masks)
     _check_span(basis, cap)
-    from . import packed  # numpy code, compiled on first use like numpy itself
+    from . import packed  # imported on first use, as its docstring says
 
     return packed.circuit_supports(basis, len(face_masks))
 
@@ -439,7 +405,7 @@ def minimal_windows_complete(face_masks: list[int], d: int, cap: int) -> bool:
             levels.setdefault(wmask.bit_count(), {}).setdefault(wmask, (basis, top))
         return True
 
-    if not add(gf2_kernel_masks(list(_subface_columns(face_masks).values()), len(face_masks))):
+    if not add(_kernel(face_masks)[1]):
         return False
     swept = 0
     while levels:
@@ -659,8 +625,7 @@ def classify_minimality(
     """
     faces = face_columns(cycle.faces)
     masks = [f.mask for f in faces]
-    subfaces = _subface_columns(masks)
-    basis = gf2_kernel_masks(list(subfaces.values()), len(masks))
+    subfaces, basis = _kernel(masks)
     vmask = cycle.vertex_mask
     face_min = len(basis) == 1
     vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask)
@@ -692,20 +657,19 @@ def classify_minimality(
 def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partition:
     """Partition the faces into face-minimal d-dimensional cycles.
 
-    Greedy: repeatedly extract the smallest (size, column order) nonzero
-    kernel vector among the remaining faces, the first of the sorted span
-    (``_sorted_span``), which is always a face-minimal
-    cycle; the remainder stays a disjoint union of cycles, so the loop
-    terminates with a full partition.
+    Greedy: repeatedly extract the first cycle (``iter_cycle_supports``)
+    among the remaining faces.  It is the smallest (size, column order)
+    nonzero kernel vector, whose support is minimal, so it is a
+    face-minimal cycle; the remainder stays a disjoint union of cycles, so
+    the loop terminates with a full partition.
     """
     remaining = face_columns(cycle.faces)
     blocks: list[frozenset[Face]] = []
     while remaining:
-        masks = [f.mask for f in remaining]
-        words = _sorted_span(_subface_columns(masks), len(masks), cap)
-        if not words[0].size:
+        support = next(iter_cycle_supports([f.mask for f in remaining], cap), 0)
+        if not support:
             raise InputError("input faces are not a disjoint union of cycles")
-        block = faces_of(_vector(words, 0), remaining)
+        block = faces_of(support, remaining)
         blocks.append(block)
         remaining = [f for f in remaining if f not in block]
     blocks.sort(key=lambda b: tuple(sorted(f.vertices for f in b)))

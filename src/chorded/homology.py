@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .complex_core import Complex, EMPTY_FACE, Face
+from .cycles import face_columns
 from .errors import InputError
 from .field_linalg import FieldSpec, SparseMatrix, rank
 
@@ -24,13 +25,7 @@ __all__ = [
     "reduced_betti",
     "betti_profile",
     "induced_orientation",
-    "sorted_faces",
 ]
-
-
-def sorted_faces(c: Complex, i: int) -> tuple[Face, ...]:
-    """The i-faces of ``c`` in the canonical basis order."""
-    return tuple(sorted(c.faces(i), key=lambda f: f.vertices))
 
 
 def _permutation_parity(seq: tuple[int, ...]) -> int:
@@ -106,11 +101,11 @@ def boundary_matrix(c: Complex, i: int, f: FieldSpec, augmented: bool = False) -
     """
     if i < 0:
         raise InputError("boundary dimension must be non-negative")
-    cols = sorted_faces(c, i)
+    cols = tuple(face_columns(c.faces(i)))
     if i == 0:
         rows: tuple[Face, ...] = (EMPTY_FACE,) if augmented else ()
     else:
-        rows = sorted_faces(c, i - 1)
+        rows = tuple(face_columns(c.faces(i - 1)))
     row_pos = {face: r for r, face in enumerate(rows)}
     entries: list[tuple[int, int, object]] = []
     for jcol, face in enumerate(cols):

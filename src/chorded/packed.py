@@ -1,14 +1,17 @@
-"""Array operations on bit-packed GF(2) data: circuits and their kernel coefficients.
+"""Array operations on bit-packed GF(2) data: the kernel span, circuits and their windows.
 
 A set of columns (d-faces in ``face_columns`` order) is packed into uint64
 words, one word per 64 columns, low word first; a vertex window is packed
-the same way over vertices.
+the same way over vertices.  This module owns that layout and the one
+order on packed vectors, (popcount, mask) with the high word most
+significant (``_sorted_ints``), which ``kernel_span`` gives the span that
+``cycles.iter_cycle_supports`` walks.
 
 ``circuit_supports`` finds the circuits of a kernel, the face-minimal
 cycles, for ``cycles.minimal_kernel_supports``: one rank test per
 coefficient set of the kernel basis, run over all of them at once as
-array elimination.  Python runs once per chunk of 2^16 sets, row and
-slot, not once per vector or circuit.
+array elimination.  Python runs once per chunk of 2^16 sets (``_CHUNK``),
+row and slot, not once per vector or circuit.
 
 ``decide_circuits`` decides every circuit at once for
 ``chordality.is_d_chorded``: vertex windows by AND with each vertex's
@@ -19,9 +22,9 @@ window).  Its numpy work grows with the columns and vertices the
 circuits touch, not with the circuits; Python runs once per window, and
 memory grows with the circuits and the solver rows.
 
-The module imports numpy at the top, so ``cycles`` and ``chordality``
-import it on first use: importing the package neither loads numpy nor
-compiles this module.
+The module imports numpy at the top and nothing from ``cycles``, so
+``cycles`` and ``chordality`` import it on first use: importing the
+package neither loads numpy nor compiles this module.
 """
 
 from __future__ import annotations
@@ -31,10 +34,48 @@ import math
 import numpy as np
 
 from .complex_core import _bits
-from .cycles import _popcount
 
 
 _CHUNK = 1 << 16  # coefficient sets eliminated at a time
+_UNPACK = 4096  # sorted vectors turned into Python ints at a time
+
+
+def _popcount(words):
+    """Per-element bit counts of a uint64 array."""
+    x = words - ((words >> np.uint64(1)) & np.uint64(0x5555555555555555))
+    x = (x & np.uint64(0x3333333333333333)) + ((x >> np.uint64(2)) & np.uint64(0x3333333333333333))
+    x = (x + (x >> np.uint64(4))) & np.uint64(0x0F0F0F0F0F0F0F0F)
+    return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
+
+
+def _sorted_ints(words):
+    """Packed vectors sorted by (popcount, mask), as column masks, ``_UNPACK`` at a time.
+
+    ``words`` holds one uint64 array per 64 columns, low word first; the
+    sort is one ``np.lexsort`` with the high word most significant.
+    """
+    order = np.lexsort(words + [sum(_popcount(w) for w in words)])
+    for start in range(0, order.size, _UNPACK):
+        at = order[start:start + _UNPACK]
+        vectors = words[0][at].tolist()
+        for j, w in enumerate(words[1:], 1):
+            vectors = [lo | hi << (64 * j) for lo, hi in zip(vectors, w[at].tolist())]
+        yield vectors
+
+
+def kernel_span(basis: list[int], ncols: int):
+    """The nonzero vectors spanned by ``basis``, built whole by doubling and sorted once.
+
+    They come as column masks in (popcount, mask) order, ``_UNPACK`` at a
+    time, so a search over them can stop early.
+    """
+    words = []
+    for shift in range(0, ncols, 64):
+        span = np.zeros(1, dtype=np.uint64)
+        for b in basis:
+            span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
+        words.append(span[1:])
+    return _sorted_ints(words)
 
 
 def _even_table():
@@ -123,11 +164,7 @@ def circuit_supports(basis: list[int], ncols: int) -> list[int]:
             if vec >> shift & 0xFFFFFFFFFFFFFFFF:
                 word ^= (flagged >> np.uint64(i) & np.uint64(1)) * np.uint64(vec >> shift & 0xFFFFFFFFFFFFFFFF)
         words.append(word)
-    order = np.lexsort(words + [sum(_popcount(w) for w in words)])
-    supports = words[0][order].tolist()
-    for j, word in enumerate(words[1:], 1):
-        supports = [lo | hi << (64 * j) for lo, hi in zip(supports, word[order].tolist())]
-    return supports
+    return [v for vectors in _sorted_ints(words) for v in vectors]
 
 
 def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, solver, limit: int | None):

@@ -406,7 +406,7 @@ def verify_corpus(
             if rec.is_complete():
                 continue
             chk.tick()
-            via_boundary = boundary_chord_test(rec, c, cap)
+            via_boundary = boundary_chord_test(rec, c)
             try:
                 via_search = exhaustive_chord_set_search(rec, c, cap)
             except CapExceeded:

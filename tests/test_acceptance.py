@@ -206,7 +206,7 @@ def test_criterion_7_chord_oracle_equivalence():
             )
             if record.is_complete():
                 continue
-            via_boundary = boundary_chord_test(record, c, 1 << 20)
+            via_boundary = boundary_chord_test(record, c)
             try:
                 via_search = exhaustive_chord_set_search(record, c, 1 << 20)
             except CapExceeded:

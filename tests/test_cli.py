@@ -108,8 +108,17 @@ def test_exit_code_input_error(tmp_path):
     report, code = run_command(["info", str(bad)])
     assert code == EXIT_INPUT
     assert "line 1" in report["result"]["error"]
-    _, code = run_command(["info", str(tmp_path / "missing.facets")])
-    assert code == EXIT_INPUT
+    for unreadable in (tmp_path / "missing.facets", tmp_path):  # a directory too
+        _, code = run_command(["info", str(unreadable)])
+        assert code == EXIT_INPUT
+
+
+def test_unwritable_json_path_is_an_input_error(tmp_path, capsys):
+    path = str(CORPUS / "hollow_tetrahedron.facets")
+    assert main(["info", "--json", str(tmp_path / "missing" / "report.json"), path]) == EXIT_INPUT
+    out, err = capsys.readouterr()
+    assert json.loads(out)["result"]["f_vector"] == [4, 6, 4]
+    assert "cannot write --json report" in err
 
 
 def test_exit_code_cap_exceeded():

@@ -262,19 +262,24 @@ def _bucket_sieve(face_masks, cap):
 def _per_circuit_sieve(face_masks, cap):
     """Second oracle for ``minimal_kernel_supports``: the per-circuit numpy filter.
 
-    Takes the kernel span sorted by (popcount, mask); its first vector is
+    Takes the kernel span sorted by (popcount, mask) (``packed.kernel_span``)
+    and packs it again, one array per 64 columns; the first vector left is
     always a circuit, and each circuit drops every vector containing it,
     i.e. every vector that misses none of its bits in any word.
     """
-    from chorded.cycles import _sorted_span, _subface_columns, _vector
+    from chorded import packed
+    from chorded.cycles import _check_span, _kernel
 
     if not face_masks:
         return []
-    words = _sorted_span(_subface_columns(face_masks), len(face_masks), cap)
+    _, basis = _kernel(face_masks)
+    _check_span(basis, cap)
+    rows = packed._pack([v for part in packed.kernel_span(basis, len(face_masks)) for v in part], len(face_masks))
+    words = [rows[:, j].copy() for j in range(rows.shape[1])]
     minimal = []
     while words[0].size:
         circuit = [w[0] for w in words]
-        minimal.append(_vector(words, 0))
+        minimal.append(sum(int(c) << (64 * j) for j, c in enumerate(circuit)))
         keep = (words[0] & circuit[0]) != circuit[0]
         for w, c in zip(words[1:], circuit[1:]):
             keep |= (w & c) != c
@@ -571,3 +576,34 @@ def test_smallest_cycle_has_d_plus_two_vertices():
         if is_d_dimensional_cycle(c, 2):
             found.append(frozenset(faces))
     assert found == [frozenset(Face.of(t) for t in triples)]
+
+
+def test_numpy_is_loaded_only_by_the_packed_array_code():
+    # a fresh interpreter: the package and every predicate that builds no
+    # packed array leave numpy unloaded; is_d_chorded on a cycle loads it
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import chorded
+
+    script = """
+import sys
+from chorded import (GF2, RATIONAL, facet_ideal_generators, gfp, has_t_linear_resolution,
+                     is_d_chorded, is_d_cycle_complete, is_d_tree, reduced_betti)
+from chorded.corpus import bipyramid
+assert "numpy" not in sys.modules, "import chorded"
+c = bipyramid()
+assert not is_d_tree(c, 2)
+assert not is_d_cycle_complete(c, 2)
+for f in (GF2, gfp(3), RATIONAL):
+    assert [reduced_betti(c, i, f) for i in range(3)] == [0, 0, 1]
+    has_t_linear_resolution(facet_ideal_generators(c), 3, f)
+assert "numpy" not in sys.modules, "the predicates without a packed array"
+assert not is_d_chorded(c, 2).chorded
+assert "numpy" in sys.modules, "is_d_chorded"
+"""
+    src = str(Path(chorded.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr

@@ -21,8 +21,9 @@ from chorded import (
     rank,
 )
 from chorded.corpus import glued_tetrahedra, hollow_tetrahedron
+from chorded.cycles import face_columns
 from chorded.field_linalg import apply_matrix, gf2_rref
-from chorded.homology import boundary_matrix, sorted_faces
+from chorded.homology import boundary_matrix
 
 
 def oracle_gf2_rank(rows, ncols):
@@ -177,7 +178,7 @@ def test_enumerate_kernel_double_tetra():
     m = boundary_matrix(dt, 2, GF2)
     vectors = list(enumerate_kernel_vectors(m, 1024))
     supports = sorted(tuple(sorted(f.vertices for f in v.support)) for v in vectors)
-    faces = sorted_faces(dt, 2)
+    faces = face_columns(dt.faces(2))
     t1 = tuple(sorted(f.vertices for f in faces if f.mask & 0b110000 == 0))
     t2 = tuple(sorted(f.vertices for f in faces if f.mask & 0b000011 == 0))
     full = tuple(sorted(f.vertices for f in faces))
