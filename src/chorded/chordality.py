@@ -61,7 +61,7 @@ from .cycles import (
     nullity,
 )
 from .errors import CapExceeded, InputError
-from .field_linalg import DEFAULT_KERNEL_CAP
+from .field_linalg import DEFAULT_KERNEL_CAP, gf2_reduce
 
 __all__ = [
     "ChordSetRecord",
@@ -229,30 +229,16 @@ def _window_basis(
     tops = tuple(t for t in tops if not t & ~wmask)
     pivots: dict[int, tuple[int, int]] = {}
     for j, top in enumerate(tops):
-        m = _top_row(top, column)
-        track = 1 << j
-        while m:
-            low = m & -m
-            hit = pivots.get(low)
-            if hit is None:
-                pivots[low] = (m, track)
-                break
-            m ^= hit[0]
-            track ^= hit[1]
+        m, track = gf2_reduce(pivots, _top_row(top, column), 1 << j)
+        if m:
+            pivots[m & -m] = (m, track)
     return column, tops, pivots
 
 
 def _preimage(pivots: dict[int, tuple[int, int]], rhs: int) -> int | None:
     """The tracking mask of window (d+1)-sets whose boundaries sum to the columns ``rhs``, or None."""
-    acc = 0
-    while rhs:
-        low = rhs & -rhs
-        hit = pivots.get(low)
-        if hit is None:
-            return None
-        rhs ^= hit[0]
-        acc ^= hit[1]
-    return acc
+    rest, chosen = gf2_reduce(pivots, rhs)
+    return None if rest else chosen
 
 
 def _vertex_mask(cols, masks: list[int]) -> int:

@@ -43,7 +43,7 @@ from .chordality import (
 )
 from .cycles import CycleRecord, classify_minimality, cycle_from_complex, enumerate_cycles_within, is_d_dimensional_cycle, is_orientable
 from .errors import CapExceeded, InputError, ParseError, PurityError, ShapeError
-from .field_linalg import DEFAULT_KERNEL_CAP, GF2, parse_field
+from .field_linalg import DEFAULT_KERNEL_CAP, parse_field
 from .homology import betti_profile
 from .resolutions import has_t_linear_resolution, is_componentwise_linear, min_generation_degree
 
@@ -249,6 +249,13 @@ def _cmd_sr_ideal(c: Complex, args) -> dict:
     }
 
 
+def _witness_json(ideal, witness) -> dict | None:
+    if witness is None:
+        return None
+    subset, degree, betti = witness
+    return {"subset": [ideal.labels[v] for v in subset], "homological_degree": degree, "betti": betti}
+
+
 def _cmd_linres(c: Complex, args) -> dict:
     if args.closure:
         if args.dim is None:
@@ -263,12 +270,7 @@ def _cmd_linres(c: Complex, args) -> dict:
         "ideal_generators": sorted(sorted(ideal.labels[v] for v in g.vertices) for g in ideal.generators),
     }
     if verdict.witness is not None:
-        w, degree, betti = verdict.witness
-        body["witness"] = {
-            "subset": [ideal.labels[v] for v in w],
-            "homological_degree": degree,
-            "betti": betti,
-        }
+        body["witness"] = _witness_json(ideal, verdict.witness)
     return body
 
 
@@ -281,13 +283,7 @@ def _cmd_componentwise(c: Complex, args) -> dict:
         "per_degree": {
             str(d): {
                 "linear": v.linear,
-                "witness": None
-                if v.witness is None
-                else {
-                    "subset": [ideal.labels[x] for x in v.witness[0]],
-                    "homological_degree": v.witness[1],
-                    "betti": v.witness[2],
-                },
+                "witness": _witness_json(ideal, v.witness),
             }
             for d, v in verdict.per_degree
         },

@@ -119,6 +119,11 @@ class Face:
 EMPTY_FACE = Face(0)
 
 
+def face_columns(faces: Iterable[Face]) -> list[Face]:
+    """Faces in column order: sorted by vertex tuple."""
+    return sorted(faces, key=lambda f: f.vertices)
+
+
 def _maximal_masks(masks: Iterable[int]) -> list[int]:
     """Inclusion-maximal elements, deterministic order (size desc, then value)."""
     out: list[int] = []

@@ -43,9 +43,9 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterator
 
-from .complex_core import Complex, Face, _bits, _closure_level
+from .complex_core import Complex, Face, _bits, _closure_level, face_columns
 from .errors import CapExceeded, InputError
-from .field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks, gf2_rref, gf2_span
+from .field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks, gf2_reduce, gf2_rref, gf2_span
 
 __all__ = [
     "CycleRecord",
@@ -124,11 +124,6 @@ class Partition:
 # ---------------------------------------------------------------------------
 # The GF(2) cycle-space core.  Columns index a face list in ``face_columns``
 # order; a set of columns is an int bitmask.
-
-def face_columns(faces) -> list[Face]:
-    """Faces in column order: sorted by vertex tuple."""
-    return sorted(faces, key=lambda f: f.vertices)
-
 
 def faces_within(c: Complex, d: int, wmask: int) -> list[Face]:
     """The d-faces of ``c`` inside the vertex window ``wmask``, in column order."""
@@ -347,15 +342,9 @@ def _cycles_avoiding(basis: list[int], columns: int) -> list[int]:
     pivots: dict[int, tuple[int, int]] = {}
     out = []
     for vec in basis:
-        hits, combo = vec & columns, vec
-        while hits:
-            low = hits & -hits
-            pivot = pivots.get(low)
-            if pivot is None:
-                pivots[low] = (hits, combo)
-                break
-            hits ^= pivot[0]
-            combo ^= pivot[1]
+        hits, combo = gf2_reduce(pivots, vec & columns, vec)
+        if hits:
+            pivots[hits & -hits] = (hits, combo)
         else:
             out.append(combo)
     return out
@@ -443,10 +432,10 @@ def d_path_components(c: Complex, d: int) -> Partition:
 def _is_cycle(face_masks: list[int], d: int) -> bool:
     """Whether the faces at these masks form a d-dimensional cycle.
 
-    That is: nonempty, every face of d+1 vertices, every (d-1)-subface in
-    an even number of them, and one d-path component.
+    That is: d >= 0, nonempty, every face of d+1 vertices, every
+    (d-1)-subface in an even number of them, and one d-path component.
     """
-    if not face_masks or any(m.bit_count() != d + 1 for m in face_masks):
+    if d < 0 or not face_masks or any(m.bit_count() != d + 1 for m in face_masks):
         return False
     subfaces = _subface_columns(face_masks)
     if any(members.bit_count() & 1 for members in subfaces.values()):
@@ -484,6 +473,8 @@ def enumerate_cycles_within(
     ``w`` is an iterable of ambient vertex ids; records are in ambient
     coordinates, in ``CycleRecord.sort_key`` order.
     """
+    if d < 0:
+        raise InputError("dimension must be non-negative")
     wmask = 0
     for v in w:
         if not (0 <= v < c.vertex_count):

@@ -264,6 +264,21 @@ def gf2_rref(rows: list[int]) -> tuple[list[int], list[int]]:
     return [by_low[low] for low in lows], [low.bit_length() - 1 for low in lows]
 
 
+def gf2_reduce(pivots: dict[int, tuple[int, int]], row: int, track: int = 0) -> tuple[int, int]:
+    """Reduce ``row`` by ``pivots`` (lowest bit -> (row, tracking mask)); returns ``(row, track)``.
+
+    Each pivot used is XOR-ed into ``row`` and its tracking mask into
+    ``track``.  Stops at the first lowest bit with no pivot.
+    """
+    while row:
+        hit = pivots.get(row & -row)
+        if hit is None:
+            break
+        row ^= hit[0]
+        track ^= hit[1]
+    return row, track
+
+
 def gf2_kernel_masks(rows: list[int], ncols: int) -> list[int]:
     """Basis of the right null space, one bitmask per free column, ascending."""
     reduced, pivots = gf2_rref(rows)

@@ -19,10 +19,8 @@ window.  Two exact skip rules leave out what cannot fail:
   all its t-subsets are, so such a window is a simplex, or the boundary of
   one, or (|W| = t+1) holds a (t-1)-cycle only when W itself is a face.
 
-Over QQ every window is first ranked modulo the prime 2^31-1.  Ranks mod p
-never exceed rational ranks, so a betti number 0 mod p certifies rational
-vanishing; only when it is positive are that window's ranks recomputed
-exactly by Bareiss elimination.  No floating point is involved.
+The ranks come from ``homology.first_nonvanishing``, the routine behind
+every reduced Betti number; ``homology`` says how QQ is certified.
 
 "Over every field" is operationalized as the probe set {GF(2), GF(3), QQ};
 reports carry that list rather than claiming the full quantifier.
@@ -37,7 +35,6 @@ from dataclasses import dataclass
 from .complex_core import (
     Face,
     MonomialIdeal,
-    _bits,
     _closure_level,
     _mask_of,
     complex_of_ideal,
@@ -45,7 +42,8 @@ from .complex_core import (
     pure_skeleton,
 )
 from .errors import CapExceeded, InputError
-from .field_linalg import DEFAULT_KERNEL_CAP, FieldSpec, GF2, RATIONAL, gf2_rref, gfp, sparse_rank
+from .field_linalg import DEFAULT_KERNEL_CAP, FieldSpec, GF2, RATIONAL, gfp
+from .homology import first_nonvanishing
 
 __all__ = [
     "ResolutionVerdict",
@@ -58,7 +56,6 @@ __all__ = [
 ]
 
 PROBE_FIELDS: tuple[FieldSpec, ...] = (GF2, gfp(3), RATIONAL)
-CERTIFICATE_PRIME = 2147483647  # 2^31 - 1: rational vanishing is certified by ranks mod this prime
 
 
 @dataclass(frozen=True)
@@ -160,83 +157,10 @@ def has_t_linear_resolution(
     if got != t:
         raise InputError(f"ideal is minimally generated in degree {got}, not {t}")
     _check_sweep_cap(i.variable_count, t, cap)
-    witness = _first_nonvanishing(i.variable_count, t, f, _face_levels(i, t))
+    n, levels = i.variable_count, _face_levels(i, t)
+    found = first_nonvanishing(n, f, levels, range(t + 2, n + 1), len(levels) - 1)
+    witness = None if found is None else (found[0], t - 1 + found[1], found[2])
     return ResolutionVerdict(t, f, witness is None, witness)
-
-
-def _first_nonvanishing(
-    n: int, t: int, f: FieldSpec, levels: list[list[int]]
-) -> tuple[tuple[int, ...], int, int] | None:
-    """The first (window, degree, betti) with nonzero reduced homology in a degree >= t-1.
-
-    ``levels`` are the face masks of sizes t-1, t, ... on n vertices, each
-    sorted.  Windows come in (size, lex) order and degrees ascend within a
-    window.  The faces of every degree h >= t-1 share one bit index space,
-    so the faces inside a window are one mask operation away, and each
-    face carries its boundary over the indices of the faces one dimension
-    down.  Ranks of the boundary maps restricted to a window are ranks of
-    those boundary vectors.
-    """
-    low = max(t - 1, 0)
-    exact = f.kind == "rational"
-    p = CERTIFICATE_PRIME if exact else f.p  # None for GF(2), whose boundary vectors are bitmasks
-    below = {m: r for r, m in enumerate(levels[0])}
-    contains = [0] * n
-    blocks = []  # per degree low..: (first bit, width mask, boundary vectors)
-    offset = 0
-    for faces in levels[1:]:
-        vectors = []
-        for k, m in enumerate(faces):
-            bit = 1 << (offset + k)
-            signed = []
-            for j, v in enumerate(_bits(m)):
-                contains[v] |= bit
-                signed.append((below[m ^ (1 << v)], -1 if j & 1 else 1))
-            vectors.append(sum(1 << r for r, _ in signed) if p is None else tuple(signed))
-        blocks.append((offset, (1 << len(faces)) - 1, vectors))
-        below = {m: r for r, m in enumerate(faces)}
-        offset += len(faces)
-    if not blocks:
-        return None
-    everything = (1 << offset) - 1
-
-    def rank(vectors) -> int:
-        return len(gf2_rref(vectors)[1]) if p is None else sparse_rank(vectors, p)
-
-    def inside(window: int, j: int) -> list:
-        """The boundary vectors of the window's faces of degree low + j."""
-        if j >= len(blocks):
-            return []
-        first, width, vectors = blocks[j]
-        picked = []
-        sel = window >> first & width
-        while sel:
-            low_bit = sel & -sel
-            picked.append(vectors[low_bit.bit_length() - 1])
-            sel ^= low_bit
-        return picked
-
-    for size in range(t + 2, n + 1):
-        for w in itertools.combinations(range(n), size):
-            outside = 0
-            for v in set(range(n)).difference(w):
-                outside |= contains[v]
-            window = everything & ~outside
-            up = inside(window, 0)
-            rank_up = rank(up)
-            for j in range(len(blocks)):
-                cols, rank_cols = up, rank_up
-                if not cols:
-                    break
-                up = inside(window, j + 1)
-                rank_up = rank(up)
-                b = len(cols) - rank_cols - rank_up
-                if b and exact:  # b is the betti number mod p, an upper bound over QQ
-                    rank_up = sparse_rank(up)
-                    b = len(cols) - sparse_rank(cols) - rank_up
-                if b:
-                    return w, low + j, b
-    return None
 
 
 def degree_component(i: MonomialIdeal, d: int) -> MonomialIdeal:
@@ -248,10 +172,7 @@ def degree_component(i: MonomialIdeal, d: int) -> MonomialIdeal:
     if d < 0:
         raise InputError("degree must be non-negative")
     gens = []
-    for combo in itertools.combinations(range(i.variable_count), d):
-        m = 0
-        for v in combo:
-            m |= 1 << v
+    for m in map(_mask_of, itertools.combinations(range(i.variable_count), d)):
         if any(g.mask & ~m == 0 for g in i.generators):
             gens.append(Face(m))
     return MonomialIdeal(i.variable_count, gens, i.labels)

@@ -17,7 +17,6 @@ from chorded import (
     GF2,
     RATIONAL,
     boundary_chord_test,
-    build_complex,
     cycle_from_complex,
     d_closure,
     d_complement,

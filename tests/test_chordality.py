@@ -32,7 +32,6 @@ from chorded.corpus import (
     octahedron_boundary,
     octahedron_with_axis_chords,
     path_graph,
-    projective_plane,
     sphere_with_inner_tetrahedron,
     tetra_with_fin,
 )

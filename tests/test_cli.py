@@ -13,7 +13,7 @@ from chorded.cli import (
     run_command,
     serialize_report,
 )
-from chorded.corpus import named_corpus, projective_plane
+from chorded.corpus import named_corpus
 from chorded.cycles import is_d_dimensional_cycle
 
 CORPUS = Path(__file__).resolve().parent.parent / "corpus"
@@ -111,6 +111,10 @@ def test_exit_code_input_error(tmp_path):
     for unreadable in (tmp_path / "missing.facets", tmp_path):  # a directory too
         _, code = run_command(["info", str(unreadable)])
         assert code == EXIT_INPUT
+    for d in ("-1", "-2"):
+        report, code = run_command(["cycles", "-d", d, str(CORPUS / "bipyramid.facets")])
+        assert code == EXIT_INPUT
+        assert report["result"]["error"] == "dimension must be non-negative"
 
 
 def test_unwritable_json_path_is_an_input_error(tmp_path, capsys):

@@ -21,7 +21,7 @@ from chorded import (
     stanley_reisner_generators,
 )
 from chorded.complex_core import _closure_level
-from chorded.corpus import hollow_tetrahedron, projective_plane, seven_vertex_counterexample, tetra_with_fin
+from chorded.corpus import hollow_tetrahedron, seven_vertex_counterexample, tetra_with_fin
 
 from conftest import RP2_FACETS
 

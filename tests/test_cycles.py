@@ -22,14 +22,7 @@ from chorded import (
     is_d_dimensional_cycle,
     is_orientable,
 )
-from chorded.corpus import (
-    bipyramid,
-    cycle_graph,
-    glued_tetrahedra,
-    hollow_tetrahedron,
-    octahedron_boundary,
-    projective_plane,
-)
+from chorded.corpus import bipyramid, cycle_graph, octahedron_boundary
 from chorded.field_linalg import DEFAULT_KERNEL_CAP, apply_matrix
 
 from conftest import RP2_FACETS
@@ -101,6 +94,8 @@ def test_cycle_from_faces_validates():
         cycle_from_faces(boundary + [Face.of([0, 1])], 2)
     with pytest.raises(InputError):  # one d-path component
         cycle_from_faces(boundary + [Face.of([v + 4 for v in f.vertices]) for f in boundary], 2)
+    with pytest.raises(InputError):  # no cycle has a negative dimension
+        cycle_from_faces([Face(0)], -1)
 
 
 def test_enumerate_cycles_tetra(tetra):

@@ -6,7 +6,6 @@ from chorded import (
     CapExceeded,
     ChainVector,
     Face,
-    FieldSpec,
     GF2,
     InputError,
     RATIONAL,
@@ -21,7 +20,7 @@ from chorded import (
     rank,
 )
 from chorded.corpus import glued_tetrahedra, hollow_tetrahedron
-from chorded.cycles import face_columns
+from chorded.complex_core import face_columns
 from chorded.field_linalg import apply_matrix, gf2_rref
 from chorded.homology import boundary_matrix
 

@@ -1,5 +1,6 @@
 import itertools
-from fractions import Fraction
+import random
+from functools import lru_cache
 
 import pytest
 
@@ -13,13 +14,27 @@ from chorded import (
     betti_profile,
     boundary_matrix,
     build_complex,
+    d_closure,
     gfp,
     induced_orientation,
+    pure_skeleton,
+    rank,
     reduced_betti,
 )
-from chorded.corpus import named_corpus
-from chorded.cycles import face_columns
+from chorded.corpus import named_corpus, random_pure_two_complex
+from chorded.complex_core import face_columns
 from chorded.field_linalg import apply_matrix
+
+
+@lru_cache(maxsize=65536)  # the linres oracle sweeps meet the same induced windows many times
+def reference_betti(c, i: int, f) -> int:
+    """The i-th reduced Betti number from ``boundary_matrix`` and ``rank``, apart from ``reduced_betti``'s code."""
+    if i > c.dim:
+        return 0
+    fi = len(c.faces(i))
+    if fi == 0:
+        return 0
+    return fi - rank(boundary_matrix(c, i, f, augmented=(i == 0)), f) - rank(boundary_matrix(c, i + 1, f), f)
 
 
 def test_boundary_of_triangle_signs():
@@ -159,3 +174,29 @@ def test_face_bases_sorted(rp2):
     assert faces == sorted(faces, key=lambda f: f.vertices)
     m = boundary_matrix(rp2, 2, GF2)
     assert m.row_labels == tuple(faces)
+
+
+def betti_oracle_cases():
+    """(label, complex): the corpus, the d-closures of its skeletons, and seeded random pure 2-complexes."""
+    for name, c in sorted(named_corpus().items()):
+        yield name, c
+        for d in range(1, c.dim + 1):
+            yield (name, "closure", d), d_closure(pure_skeleton(c, d), d)
+    rng = random.Random(0x13BE77)
+    for k in range(100):
+        yield ("random", k), random_pure_two_complex(rng)
+
+
+def test_reduced_betti_matches_reference():
+    rational_nonzero, gf2_split = set(), set()
+    for label, c in betti_oracle_cases():
+        for i in range(c.dim + 2):
+            for f in (GF2, gfp(3), gfp(5), RATIONAL):
+                assert reduced_betti(c, i, f) == reference_betti(c, i, f), (label, i, str(f))
+            if reduced_betti(c, i, RATIONAL):
+                rational_nonzero.add(label)
+            if reduced_betti(c, i, GF2) != reduced_betti(c, i, RATIONAL):
+                gf2_split.add(label)
+    # nonzero rational Betti numbers run the exact recheck; RP^2 separates GF(2) from QQ
+    assert {"octahedron_boundary", "hollow_tetrahedron"} <= rational_nonzero
+    assert "projective_plane" in gf2_split

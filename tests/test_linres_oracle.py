@@ -1,10 +1,12 @@
 """The mask-native linear-resolution sweep against the per-window reference.
 
 ``oracle_sweep`` is the sweep as it stood before the mask-native engine: it
-builds one ``Complex`` per vertex window and asks ``reduced_betti`` for every
-degree but t-2.  The engine must return the same ``(linear, witness)`` on
-seeded random ideals, every corpus closure and every facet-ideal degree
-component, over GF(2), GF(3) and QQ.
+builds one ``Complex`` per vertex window and takes every degree but t-2
+from ``reference_betti`` (boundary matrices and ``rank``), not from
+``reduced_betti``, which shares its routine with the engine.  The engine
+must return the same ``(linear, witness)`` on seeded random ideals, every
+corpus closure and every facet-ideal degree component, over GF(2), GF(3)
+and QQ.
 """
 
 import itertools
@@ -27,11 +29,12 @@ from chorded import (
     induced_subcomplex,
     is_componentwise_linear,
     pure_skeleton,
-    reduced_betti,
     stanley_reisner_generators,
 )
 from chorded import field_linalg
 from chorded.corpus import named_corpus
+
+from test_homology import reference_betti
 
 
 def oracle_sweep(i: MonomialIdeal, t: int, f):
@@ -43,7 +46,7 @@ def oracle_sweep(i: MonomialIdeal, t: int, f):
             for h in range(ind.dim + 1):
                 if h == t - 2:
                     continue
-                b = reduced_betti(ind, h, f)
+                b = reference_betti(ind, h, f)
                 if b:
                     return False, (w, h, b)
     return True, None

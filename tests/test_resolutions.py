@@ -4,14 +4,12 @@ import pytest
 
 from chorded import (
     CapExceeded,
-    Complex,
     Face,
     GF2,
     InputError,
     MonomialIdeal,
     PROBE_FIELDS,
     RATIONAL,
-    build_complex,
     complex_of_ideal,
     d_closure,
     d_complement,
@@ -19,7 +17,6 @@ from chorded import (
     facet_ideal_generators,
     gfp,
     has_t_linear_resolution,
-    is_chorded,
     is_componentwise_linear,
     is_d_chorded,
     min_generation_degree,
@@ -31,7 +28,6 @@ from chorded.corpus import (
     named_corpus,
     path_graph,
     random_two_tree,
-    seven_vertex_counterexample,
     tetra_with_fin,
 )
 
