@@ -2,14 +2,16 @@
 
 GF(2) matrices are manipulated as rows of Python ints used as bitmasks, so
 row elimination is word-parallel XOR; ``gf2_rref`` inserts the rows one at
-a time, and the reduced echelon form it returns is unique.  Ranks over
-GF(p) and QQ come from ``sparse_rank``, which ranks sparse integer vectors
-mod p or by integer Bareiss elimination; kernel bases and preimages use
-dense elimination with plain modular ints / ``fractions.Fraction``.  No
-floating point appears anywhere.  The dense pivot rule is fixed (scan
-columns left to right, take the first remaining row with a nonzero entry),
-which makes ranks, kernel bases, preimages and enumeration orders
-reproducible for a fixed input.
+a time, and the reduced echelon form it returns is unique.  Forward echelon
+forms keyed by lowest index grow one vector at a time: ``gf2_reduce`` reduces
+a row against one, and ``gfp_insert`` adds a sparse vector to one over GF(p).
+Ranks over GF(p) and QQ come from ``sparse_rank``, which ranks sparse
+integer vectors mod p with ``gfp_insert`` or by integer Bareiss
+elimination; kernel bases and preimages use dense elimination with plain
+modular ints / ``fractions.Fraction``.  No floating point appears anywhere.
+The dense pivot rule is fixed (scan columns left to right, take the first
+remaining row with a nonzero entry), which makes ranks, kernel bases,
+preimages and enumeration orders reproducible for a fixed input.
 """
 
 from __future__ import annotations
@@ -431,22 +433,33 @@ def sparse_rank(vectors: list[tuple[tuple[int, int], ...]], p: int | None = None
         return _int_rank_bareiss(dense)
     pivots: dict[int, dict[int, int]] = {}
     for vec in vectors:
-        v = {i: x % p for i, x in vec if x % p}
-        while v:
-            lead = min(v)
-            row = pivots.get(lead)
-            if row is None:
-                inv = pow(v[lead], -1, p)
-                pivots[lead] = {i: x * inv % p for i, x in v.items()}
-                break
-            c = v[lead]
-            for i, x in row.items():
-                y = (v.get(i, 0) - c * x) % p
-                if y:
-                    v[i] = y
-                else:  # only an index already in v can cancel
-                    del v[i]
+        gfp_insert(pivots, vec, p)
     return len(pivots)
+
+
+def gfp_insert(pivots: dict[int, dict[int, int]], vec: tuple[tuple[int, int], ...], p: int) -> int | None:
+    """Add ``vec`` to a forward echelon form over GF(p); returns its new pivot index, or None if dependent.
+
+    ``pivots`` maps each pivot's lowest index to its row, scaled to lead 1.
+    Rows already kept are never changed, so deleting the latest pivots
+    restores the echelon form of the vectors added before them.
+    """
+    v = {i: x % p for i, x in vec if x % p}
+    while v:
+        lead = min(v)
+        row = pivots.get(lead)
+        if row is None:
+            inv = pow(v[lead], -1, p)
+            pivots[lead] = {i: x * inv % p for i, x in v.items()}
+            return lead
+        c = v[lead]
+        for i, x in row.items():
+            y = (v.get(i, 0) - c * x) % p
+            if y:
+                v[i] = y
+            else:  # only an index already in v can cancel
+                del v[i]
+    return None
 
 
 def rank(m: SparseMatrix, f: FieldSpec) -> int:

@@ -10,9 +10,10 @@ in every degree i >= 0; degree -1 is never reported.
 Every reduced Betti number comes from one routine over int face masks,
 ``first_nonvanishing``: ``reduced_betti`` asks it about a whole complex in
 one degree, and the linear-resolution sweep (``resolutions``) about every
-vertex window of an ideal's complex.  ``boundary_matrix`` and
-``field_linalg.rank`` stay a separate, ``Face``-labelled reference, which
-``verify-corpus`` checks and the tests hold ``reduced_betti`` to.
+vertex window of an ideal's complex, extending each window's echelon form
+from its lex-prefix parent.  ``boundary_matrix`` and ``field_linalg.rank``
+stay a separate, ``Face``-labelled reference, which ``verify-corpus``
+checks and the tests hold ``reduced_betti`` to.
 
 Over QQ every window is first ranked modulo the prime 2^31-1.  Ranks mod p
 never exceed rational ranks, so a betti number 0 mod p certifies rational
@@ -22,13 +23,12 @@ exactly by Bareiss elimination.  No floating point is involved.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .complex_core import Complex, EMPTY_FACE, Face, _bits, face_columns
 from .errors import InputError
-from .field_linalg import FieldSpec, SparseMatrix, gf2_rref, sparse_rank
+from .field_linalg import FieldSpec, SparseMatrix, gf2_reduce, gfp_insert, sparse_rank
 
 __all__ = [
     "OrientedFace",
@@ -140,70 +140,105 @@ def first_nonvanishing(
 
     ``levels`` are sorted face masks of consecutive sizes on n vertices;
     offset j is the faces of ``levels[j + 1]``.  Windows are the vertex sets
-    of each size in ``sizes``, in (size, lex) order, and offsets
-    0..degrees-1 ascend within a window.  All offsets share one bit index
-    space, so a window's faces are one mask operation away, and each face
-    carries its boundary vector over the faces one level down: ranks of the
-    boundary maps restricted to a window are ranks of those vectors.
+    of each size in ``sizes`` (all positive), in (size, lex) order, and
+    offsets 0..degrees-1 ascend within a window.
+
+    Each size is one round: a depth-first walk over the lex prefix tree of
+    vertex sets, whose nodes of that depth are the windows in lex order.
+    All levels share one bit index space, and each face carries its boundary
+    vector over the level below.  The child W+v of a prefix W (v > max W)
+    adds the faces whose largest vertex is v and whose other vertices lie in
+    W to the path's one forward echelon form (``gf2_reduce``,
+    ``gfp_insert``), which never changes a kept row: a window's rank in each
+    degree is its count of pivots in that level, and leaving a node deletes
+    the pivots it added.  Only the current path is held: memory O(n + faces).
     """
     exact = f.kind == "rational"
     p = CERTIFICATE_PRIME if exact else f.p  # None for GF(2), whose boundary vectors are bitmasks
-    below = {m: r for r, m in enumerate(levels[0])}
-    contains = [0] * n
-    blocks = []  # per degree offset: (first bit, width mask, boundary vectors)
-    offset = 0
-    for faces in levels[1:]:
-        vectors = []
-        for k, m in enumerate(faces):
-            bit = 1 << (offset + k)
-            signed = []
-            for j, v in enumerate(_bits(m)):
-                contains[v] |= bit
-                signed.append((below[m ^ (1 << v)], -1 if j & 1 else 1))
-            vectors.append(sum(1 << r for r, _ in signed) if p is None else tuple(signed))
-        blocks.append((offset, (1 << len(faces)) - 1, vectors))
-        below = {m: r for r, m in enumerate(faces)}
-        offset += len(faces)
-    if not blocks:
+    levels = levels[: degrees + 2]
+    if len(levels) < 2:
         return None
-    everything = (1 << offset) - 1
+    below = {m: r for r, m in enumerate(levels[0])}
+    offset = len(levels[0])
+    spans = [(0, (1 << offset) - 1)]  # per level: (first bit, width mask)
+    vectors: list = [None] * offset  # per bit: the face's boundary vector, over the bits one level down
+    contains = [0] * n  # per vertex: the faces through it
+    newest = [0] * n  # per vertex: the faces whose largest vertex it is
+    for faces in levels[1:]:
+        first = offset
+        for m in faces:
+            bit = 1 << offset
+            offset += 1
+            signed = []
+            sign, rest = 1, m
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                v = low.bit_length() - 1
+                contains[v] |= bit
+                signed.append((below[m ^ low], sign))
+                sign = -sign
+            newest[v] |= bit
+            vectors.append(sum(1 << r for r, _ in signed) if p is None else tuple(signed))
+        spans.append((first, (1 << len(faces)) - 1))
+        below = {m: first + r for r, m in enumerate(faces)}
+    spans.append((0, 0))  # nothing above the top level
 
-    def rank(vectors) -> int:
-        return len(gf2_rref(vectors)[1]) if p is None else sparse_rank(vectors, p)
-
-    def inside(window: int, j: int) -> list:
-        """The boundary vectors of the window's faces of degree offset j."""
-        if j >= len(blocks):
-            return []
-        first, width, vectors = blocks[j]
-        picked = []
-        sel = window >> first & width
-        while sel:
-            low_bit = sel & -sel
-            picked.append(vectors[low_bit.bit_length() - 1])
-            sel ^= low_bit
-        return picked
-
+    pivots: dict = {}  # the current path's echelon form: lowest index (its bit over GF(2)) -> row
     for size in sizes:
-        for w in itertools.combinations(range(n), size):
-            outside = 0
-            for v in set(range(n)).difference(w):
-                outside |= contains[v]
-            window = everything & ~outside
-            up = inside(window, 0)
-            rank_up = rank(up)
+        pivots.clear()
+        path, saved = [0] * size, [None] * size
+        # the node path[:depth] + [v]; excluded: the faces through a vertex below v left out of it
+        depth = v = excluded = window = ranked = mark = 0
+        while True:
+            if v > n - size + depth:  # no vertex left for this slot that still reaches `size`
+                if not depth:
+                    break
+                depth -= 1
+                excluded, window, ranked, mark = saved[depth]
+                excluded |= contains[path[depth]]
+                v = path[depth] + 1
+                continue
+            while len(pivots) > mark:  # the previous sibling's pivots, and its subtree's
+                pivots.popitem()
+            new = rest = newest[v] & ~excluded
+            got = ranked  # the bits of the pivots' lowest indices
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                vec = vectors[low.bit_length() - 1]
+                if p is None:
+                    row = gf2_reduce(pivots, vec)[0]
+                    if row:
+                        key = row & -row
+                        pivots[key] = row, 0
+                        got |= key
+                else:
+                    key = gfp_insert(pivots, vec, p)
+                    if key is not None:
+                        got |= 1 << key
+            path[depth] = v
+            if depth + 1 < size:
+                saved[depth] = excluded, window, ranked, mark
+                depth += 1
+                window |= new
+                ranked, mark = got, len(pivots)
+                v += 1
+                continue
+            inside = window | new
             for j in range(degrees):
-                cols, rank_cols = up, rank_up
+                first, width = spans[j + 1]
+                cols = (inside >> first & width).bit_count()
                 if not cols:
                     break
-                up = inside(window, j + 1)
-                rank_up = rank(up)
-                b = len(cols) - rank_cols - rank_up
+                b = cols - (got >> spans[j][0] & spans[j][1]).bit_count() - (got >> first & width).bit_count()
                 if b and exact:  # b is the betti number mod p, an upper bound over QQ
-                    rank_up = sparse_rank(up)
-                    b = len(cols) - sparse_rank(cols) - rank_up
+                    b = cols - sum(sparse_rank([vectors[lo + i] for i in _bits(inside >> lo & wide)])
+                                   for lo, wide in spans[j + 1 : j + 3])
                 if b:
-                    return w, j, b
+                    return tuple(path), j, b
+            excluded |= contains[v]
+            v += 1
     return None
 
 

@@ -20,7 +20,8 @@ window.  Two exact skip rules leave out what cannot fail:
   one, or (|W| = t+1) holds a (t-1)-cycle only when W itself is a face.
 
 The ranks come from ``homology.first_nonvanishing``, the routine behind
-every reduced Betti number; ``homology`` says how QQ is certified.
+every reduced Betti number, which extends each window's echelon form from
+its lex-prefix parent; ``homology`` says how, and how QQ is certified.
 
 "Over every field" is operationalized as the probe set {GF(2), GF(3), QQ};
 reports carry that list rather than claiming the full quantifier.
@@ -110,9 +111,12 @@ def _generation_degree(i: MonomialIdeal) -> int | None:
 def _check_sweep_cap(n: int, t: int, cap: int) -> None:
     """Refuse a degree-t sweep on n variables when more than ``cap`` vertex sets have t-1 or more elements.
 
-    Every face the sweep indexes and every window it visits is such a set,
-    so the check bounds the sweep's time and memory before any face level
-    is built.
+    Every face the sweep indexes is such a set, and so is every window.  The
+    walk of each of the n-t-1 window sizes visits each such set at most once,
+    as a window or as a prefix of one, so it makes at most (n-t-1) times
+    ``needed`` such visits, plus visits to prefixes of fewer than t-1
+    vertices, which are not counted.  The check bounds the sweep's time and
+    memory this way before any face level is built.
     """
     needed = sum(math.comb(n, k) for k in range(max(t - 1, 0), n + 1))
     if needed > cap:
@@ -151,9 +155,14 @@ def has_t_linear_resolution(
     increasing size then lexicographically; the first failure becomes the
     witness.  ``CapExceeded`` is raised before any face level is built
     when more than ``cap`` vertex sets have t-1 or more elements: the faces
-    the sweep indexes and the windows it visits are all among them.
+    the sweep indexes and the windows are all among them, and the sweep
+    visits at most n-t-1 times that many of them, one walk per window size,
+    besides the prefixes of fewer than t-1 vertices on the way.
     """
     got = _generation_degree(i)
+    if got is None:
+        degrees = ", ".join(map(str, sorted(i.degrees())))
+        raise InputError(f"ideal is minimally generated in degrees {degrees}, not in degree {t} alone")
     if got != t:
         raise InputError(f"ideal is minimally generated in degree {got}, not {t}")
     _check_sweep_cap(i.variable_count, t, cap)

@@ -4,6 +4,7 @@ Every tolerance is exact (integer equality or boolean verdicts); the stated
 runtime budgets are asserted with ``time.perf_counter``.
 """
 
+import hashlib
 import itertools
 import random
 import time
@@ -32,7 +33,7 @@ from chorded import (
     reduced_betti,
     stanley_reisner_generators,
 )
-from chorded.cli import run_command
+from chorded.cli import run_command, serialize_report
 from chorded.corpus import (
     projective_plane,
     random_pure_two_complex,
@@ -219,9 +220,15 @@ def test_criterion_7_chord_oracle_equivalence():
     _report(7, f"boundary test agrees with exhaustive search on {cycles_checked} cycles", started)
 
 
+# sha256 of `chorded verify-corpus`'s report at the default seed; any byte change in it is a regression
+VERIFY_CORPUS_SHA256 = "936b5a8c7ac979203b42f64840797baca1601182ab660d2a04fc2388a9a73393"
+
+
 def test_criterion_8_verify_corpus_exit_zero():
     started = time.perf_counter()
-    report, code = run_command(["verify-corpus", "--seed", "20240901"])
+    report, code = run_command(["verify-corpus"])
     assert code == 0, [p for p in report["result"]["properties"] if not p["passed"]]
     assert report["result"]["all_passed"] is True
+    assert report["settings"]["seed"] == 20240901
+    assert hashlib.sha256(serialize_report(report).encode()).hexdigest() == VERIFY_CORPUS_SHA256
     _report(8, "verify-corpus structural suites", started)

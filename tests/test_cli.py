@@ -115,6 +115,9 @@ def test_exit_code_input_error(tmp_path):
         report, code = run_command(["cycles", "-d", d, str(CORPUS / "bipyramid.facets")])
         assert code == EXIT_INPUT
         assert report["result"]["error"] == "dimension must be non-negative"
+    report, code = run_command(["linres", "-t", "3", str(CORPUS / "bipyramid.facets")])
+    assert code == EXIT_INPUT
+    assert report["result"]["error"] == "ideal is minimally generated in degrees 2, 3, not in degree 3 alone"
 
 
 def test_unwritable_json_path_is_an_input_error(tmp_path, capsys):

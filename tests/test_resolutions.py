@@ -88,8 +88,16 @@ def test_linres_counterexample7_char2(counterexample7):
 
 def test_linres_wrong_degree_rejected():
     ideal = facet_ideal_generators(path_graph(4))
-    with pytest.raises(InputError):
+    with pytest.raises(InputError, match="generated in degree 2, not 3$"):
         has_t_linear_resolution(ideal, 3, GF2)
+
+
+def test_linres_mixed_degrees_are_named():
+    ideal = stanley_reisner_generators(named_corpus()["bipyramid"])
+    assert ideal.degrees() == {2, 3}
+    with pytest.raises(InputError) as err:
+        has_t_linear_resolution(ideal, 3, GF2)
+    assert str(err.value) == "ideal is minimally generated in degrees 2, 3, not in degree 3 alone"
 
 
 def test_linres_variable_cap():
