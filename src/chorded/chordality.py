@@ -354,24 +354,19 @@ def _cover_search(pool: list[int], target: int, must_cover: int, cap: int) -> li
     for i in range(n - 1, -1, -1):
         suffix_or[i] = suffix_or[i + 1] | pool[i]
 
-    best: list[int] | None = None
-
-    def dfs(i: int, chosen: list[int], acc_xor: int, acc_or: int) -> bool:
-        nonlocal best
+    # depth first, taking pool[i] before leaving it out; an explicit stack,
+    # so that no nested function refers to itself and leaves a reference cycle
+    stack = [(0, (), 0, 0)]  # (next index, chosen, their XOR, their union)
+    while stack:
+        i, chosen, acc_xor, acc_or = stack.pop()
         if acc_xor == target and acc_or & must_cover == must_cover and len(chosen) >= 2:
-            best = chosen[:]
-            return True
-        if i == n:
-            return False
+            return list(chosen)
         # any bit with wrong parity or missing coverage must occur in the tail
-        needed = (target ^ acc_xor) | (must_cover & ~acc_or)
-        if needed & ~suffix_or[i]:
-            return False
-        if dfs(i + 1, chosen + [pool[i]], acc_xor ^ pool[i], acc_or | pool[i]):
-            return True
-        return dfs(i + 1, chosen, acc_xor, acc_or)
-
-    return best if dfs(0, [], 0, 0) else None
+        if i == n or ((target ^ acc_xor) | (must_cover & ~acc_or)) & ~suffix_or[i]:
+            continue
+        stack.append((i + 1, chosen, acc_xor, acc_or))
+        stack.append((i + 1, chosen + (pool[i],), acc_xor ^ pool[i], acc_or | pool[i]))
+    return None
 
 
 def is_d_chorded(
@@ -435,39 +430,41 @@ def is_d_cycle_complete(
     it holds exactly when every inclusion-minimal window with a nonzero GF(2)
     d-cycle space has d+2 vertices, and ``cap`` bounds the windows swept.
 
-    The orientable one walks the cycles in (size, mask) order
-    (``iter_cycle_supports``) and returns the event of the first cycle that
-    has one: a refusal from its sign classes, a refusal from the orientable
-    vertex-minimality test of its vertex window (which counts only for an
-    orientable cycle), or False for an orientable, orientably vertex-minimal
-    cycle that is not d-complete.  A cycle of more faces than log2(cap)
-    runs its sign classes first, since only such a cycle's can refuse; the
-    window test is memoised per window within the call; and the sign search
-    runs only when its answer settles the event.  ``cap`` bounds the
-    2^nullity kernel vectors before the walk, the 2^classes sign choices of
-    every orientability search, and the kernels of the window tests.
+    The orientable one walks the cycles in (size, mask) order and returns
+    the event of the first cycle that has one: a refusal from its sign
+    classes, a refusal from the orientable vertex-minimality test of its
+    vertex window (which counts only for an orientable cycle), or False for
+    an orientable, orientably vertex-minimal cycle that is not d-complete.
+    The walk reads (support, window) pairs from ``iter_cycle_supports``,
+    which finds the connected kernel vectors and their windows in numpy, a
+    sorted chunk at a time; a cycle's size is its popcount, and its face
+    masks are listed only for a sign test.  A cycle of more faces than
+    log2(cap) runs its sign classes first, since only such a cycle's can
+    refuse; the window test is memoised per window within the call; and
+    the sign search runs only when its answer settles the event.  ``cap``
+    bounds the 2^nullity kernel vectors before the walk, the 2^classes sign
+    choices of every orientability search, and the kernels of the window
+    tests.
     """
     _require_pure(c, d, "is_d_cycle_complete")
     masks = [f.mask for f in face_columns(c.faces(d))]
     if not orientable_mode:
         return minimal_windows_complete(masks, d, cap)
     windows: dict[int, bool | CapExceeded] = {}  # vertex window -> orientably vertex-minimal, or its refusal
-    for comp in iter_cycle_supports(masks, cap):
-        cols = list(_bits(comp))
-        cycle = [masks[j] for j in cols]
+    for support, vmask in iter_cycle_supports(masks, cap):
+        size = support.bit_count()
         # the sign classes can refuse only when 2^faces > cap; otherwise they wait until the signs matter
-        if 1 << len(cols) > cap and _sign_classes(cycle, cap) is None:
+        if 1 << size > cap and _sign_classes([masks[j] for j in _bits(support)], cap) is None:
             continue
-        vmask = _vertex_mask(cols, masks)
         if vmask not in windows:
             try:
                 windows[vmask] = is_vertex_minimal(c, d, vmask, True, cap)
             except CapExceeded as exc:
                 windows[vmask] = exc
         minimal = windows[vmask]
-        if minimal is False or (minimal is True and len(cols) == math.comb(vmask.bit_count(), d + 1)):
+        if minimal is False or (minimal is True and size == math.comb(vmask.bit_count(), d + 1)):
             continue  # no event, whatever the signs
-        if _orientation(cycle, cap) is None:
+        if _orientation([masks[j] for j in _bits(support)], cap) is None:
             continue
         if minimal is True:
             return False

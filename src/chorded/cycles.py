@@ -11,10 +11,14 @@ heuristics.
 
 The packed layout of the kernel span, its (popcount, mask) order and the
 array code over it live in ``packed``, which this module imports on first
-use.  ``iter_cycle_supports`` yields the span's connected vectors lazily in
-that order and is the one enumeration of cycles on a face list
-(``cycle_supports`` lists it), and ``decompose_cycle`` takes its first
-cycle.  ``minimal_kernel_supports`` builds no span: a combination of
+use.  ``iter_cycle_supports`` is the one enumeration of cycles on a face
+list (``cycle_supports`` lists it, and ``decompose_cycle`` takes its first
+cycle): ``packed.connected_span`` sorts the span once, takes it in chunks
+that double up to 4096 vectors, keeps each chunk's d-path-connected
+vectors by one breadth-first frontier over the whole chunk in numpy, and
+gives them their vertex windows by the circuits' star-AND, so the
+(cycle, window) pairs come lazily with no Python connectivity test per
+vector.  ``minimal_kernel_supports`` builds no span: a combination of
 kernel basis vectors is a face-minimal cycle exactly when a rank over its
 coefficients is full, and ``packed.circuit_supports`` tests every
 coefficient set at once.  Each takes its basis from ``_kernel``, and all
@@ -260,33 +264,32 @@ def _cycle_walk(subfaces: dict[int, int], basis: list[int], ncols: int, cap: int
                 yield comp
 
 
-def iter_cycle_supports(face_masks: list[int], cap: int) -> Iterator[int]:
-    """Every d-dimensional cycle on the given d-faces, as a column mask, in (size, mask) order.
+def iter_cycle_supports(face_masks: list[int], cap: int) -> Iterator[tuple[int, int]]:
+    """Every d-dimensional cycle on the given d-faces with its vertex window, in (size, mask) order.
 
-    The cycles are the nonzero kernel vectors whose support is
-    d-path-connected: a d-path component of any kernel support is itself a
-    kernel vector, because the faces at a (d-1)-subface are pairwise
-    adjacent.  The span is built and sorted whole (``packed.kernel_span``)
-    and the connected vectors are yielded lazily, so a search can stop at
-    its first hit.  Refuses with ``CapExceeded`` before the first vector
-    when the kernel has more than ``cap`` vectors.
+    Yields (column mask, vertex mask) pairs.  The cycles are the nonzero
+    kernel vectors whose support is d-path-connected: a d-path component
+    of any kernel support is itself a kernel vector, because the faces at a
+    (d-1)-subface are pairwise adjacent.  The span is built and sorted
+    whole, and its connected vectors and their windows are found one
+    chunk at a time (``packed.connected_span``) and yielded lazily, so a
+    search can stop at its first hit.  Refuses with ``CapExceeded`` before
+    the first vector when the kernel has more than ``cap`` vectors.
     """
     if not face_masks:
         return
     subfaces, basis = _kernel(face_masks)
     _check_span(basis, cap)
+    if not basis:
+        return
     from . import packed  # imported on first use, as its docstring says
 
-    adj = _column_adjacency(subfaces, len(face_masks))
-    for vectors in packed.kernel_span(basis, len(face_masks)):
-        for support in vectors:
-            if _component(support & -support, support, adj) == support:
-                yield support
+    yield from packed.connected_span(basis, face_masks, list(subfaces.values()))
 
 
 def cycle_supports(face_masks: list[int], cap: int) -> list[int]:
     """Every d-dimensional cycle on the given d-faces, as a column mask, sorted by (size, mask)."""
-    return list(iter_cycle_supports(face_masks, cap))
+    return [support for support, _ in iter_cycle_supports(face_masks, cap)]
 
 
 def minimal_kernel_supports(face_masks: list[int], cap: int) -> list[int]:
@@ -318,7 +321,7 @@ def _orientable_cycle_within(c: Complex, d: int, wmask: int, cap: int) -> bool:
     masks = [f.mask for f in faces_within(c, d, wmask)]
     return any(
         _orientation([masks[j] for j in _bits(comp)], cap) is not None
-        for comp in iter_cycle_supports(masks, cap)
+        for comp, _ in iter_cycle_supports(masks, cap)
     )
 
 
@@ -657,7 +660,7 @@ def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partit
     remaining = face_columns(cycle.faces)
     blocks: list[frozenset[Face]] = []
     while remaining:
-        support = next(iter_cycle_supports([f.mask for f in remaining], cap), 0)
+        support, _ = next(iter_cycle_supports([f.mask for f in remaining], cap), (0, 0))
         if not support:
             raise InputError("input faces are not a disjoint union of cycles")
         block = faces_of(support, remaining)

@@ -1,11 +1,19 @@
-"""Array operations on bit-packed GF(2) data: the kernel span, circuits and their windows.
+"""Array operations on bit-packed GF(2) data: the kernel span, cycles, circuits and their windows.
 
 A set of columns (d-faces in ``face_columns`` order) is packed into uint64
 words, one word per 64 columns, low word first; a vertex window is packed
 the same way over vertices.  This module owns that layout and the one
 order on packed vectors, (popcount, mask) with the high word most
-significant (``_sorted_ints``), which ``kernel_span`` gives the span that
-``cycles.iter_cycle_supports`` walks.
+significant (``np.lexsort``).
+
+``connected_span`` gives ``cycles.iter_cycle_supports`` the cycles of a
+kernel with their vertex windows, in that order.  It sorts the span
+once, then takes it in chunks of 16 vectors doubling up to 4096
+(``_FIRST``, ``_UNPACK``), so that a search that stops early builds
+little beyond the span.  A chunk is turned on its side, one bitset over
+the chunk per column (``_transpose``), and a breadth-first frontier steps
+every vector at once through the boundary rows (``_connected``): Python
+runs once per step and chunk, not once per vector.
 
 ``circuit_supports`` finds the circuits of a kernel, the face-minimal
 cycles, for ``cycles.minimal_kernel_supports``: one rank test per
@@ -14,13 +22,15 @@ array elimination.  Python runs once per chunk of 2^16 sets (``_CHUNK``),
 row and slot, not once per vector or circuit.
 
 ``decide_circuits`` decides every circuit at once for
-``chordality.is_d_chorded``: vertex windows by AND with each vertex's
-column mask, completeness by popcount, and closure-window membership by
-sweeping the pivot columns of the windows' solver rows (already masks
-over the global columns), packed once and keyed by (pivot column,
-window).  Its numpy work grows with the columns and vertices the
-circuits touch, not with the circuits; Python runs once per window, and
-memory grows with the circuits and the solver rows.
+``chordality.is_d_chorded``: completeness by popcount, and closure-window
+membership by sweeping the pivot columns of the windows' solver rows
+(already masks over the global columns), packed once and keyed by (pivot
+column, window).  Python runs once per window, and memory grows with the
+circuits and the solver rows.
+
+Both take vertex windows from ``_circuit_windows``, the star-AND: one
+AND over all vectors of each vertex's faces, word by word, folded into
+window words, with no numpy call per vertex.
 
 The module imports numpy at the top and nothing from ``cycles``, so
 ``cycles`` and ``chordality`` import it on first use: importing the
@@ -29,6 +39,7 @@ package neither loads numpy nor compiles this module.
 
 from __future__ import annotations
 
+import bisect
 import math
 
 import numpy as np
@@ -38,6 +49,8 @@ from .complex_core import _bits
 
 _CHUNK = 1 << 16  # coefficient sets eliminated at a time
 _UNPACK = 4096  # sorted vectors turned into Python ints at a time
+_FIRST = 16  # vectors in the first chunk of ``connected_span``
+_BLOCK = 1 << 16  # star-AND terms evaluated at a time by ``_circuit_windows``
 
 
 def _popcount(words):
@@ -48,6 +61,14 @@ def _popcount(words):
     return (x * np.uint64(0x0101010101010101)) >> np.uint64(56)
 
 
+def _ints(rows) -> list[int]:
+    """The rows of an (n, words) uint64 array as Python ints, low word first."""
+    vectors = rows[:, 0].tolist()
+    for j in range(1, rows.shape[1]):
+        vectors = [lo | hi << (64 * j) for lo, hi in zip(vectors, rows[:, j].tolist())]
+    return vectors
+
+
 def _sorted_ints(words):
     """Packed vectors sorted by (popcount, mask), as column masks, ``_UNPACK`` at a time.
 
@@ -56,26 +77,114 @@ def _sorted_ints(words):
     """
     order = np.lexsort(words + [sum(_popcount(w) for w in words)])
     for start in range(0, order.size, _UNPACK):
-        at = order[start:start + _UNPACK]
-        vectors = words[0][at].tolist()
-        for j, w in enumerate(words[1:], 1):
-            vectors = [lo | hi << (64 * j) for lo, hi in zip(vectors, w[at].tolist())]
-        yield vectors
+        yield _ints(np.stack([w[order[start:start + _UNPACK]] for w in words], axis=1))
 
 
-def kernel_span(basis: list[int], ncols: int):
-    """The nonzero vectors spanned by ``basis``, built whole by doubling and sorted once.
+def connected_span(basis: list[int], masks: list[int], rows: list[int]):
+    """Each d-path-connected vector spanned by ``basis``, with its vertex window.
 
-    They come as column masks in (popcount, mask) order, ``_UNPACK`` at a
-    time, so a search over them can stop early.
+    ``basis`` spans kernel vectors over the d-faces ``masks``, and ``rows``
+    are the boundary rows, one column mask per (d-1)-subface
+    (``cycles._kernel``): two faces are adjacent when a row holds both.
+    Yields (column mask, vertex mask) pairs in (popcount, mask) order.
+
+    The span is built whole by doubling and sorted once, then taken in
+    chunks of ``_FIRST`` vectors, doubling up to ``_UNPACK``, so that a
+    search that stops early pays for little more than the span.  Each
+    chunk is turned on its side (``_transpose``: one bitset over the chunk
+    per column), so that one array operation steps every vector at once:
+    the connected vectors are those whose reach from their lowest column
+    fills their support (``_connected``), and the windows come from the
+    vertices' stars (``_circuit_windows``).  Memory is the span plus one
+    chunk.
+
+    A span of one vector is yielded at once, with no arrays: the vector is
+    connected, because each d-path component of a kernel vector is itself
+    a kernel vector, and its window is the union of its faces.  Most walks
+    are over such spans (a vertex-minimality test's windows minus a
+    vertex), where numpy's fixed cost would outweigh the work.
     """
+    if len(basis) == 1:
+        vmask = 0
+        for j in _bits(basis[0]):
+            vmask |= masks[j]
+        yield basis[0], vmask
+        return
+    ncols = len(masks)
     words = []
     for shift in range(0, ncols, 64):
         span = np.zeros(1, dtype=np.uint64)
         for b in basis:
             span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
         words.append(span[1:])
-    return _sorted_ints(words)
+    order = np.lexsort(words + [sum(_popcount(w) for w in words)])
+    star, steps = _star(masks), _steps(rows)
+    start, size = 0, _FIRST
+    while start < order.size:
+        at = order[start:start + size]
+        chunk = np.stack([w[at] for w in words], axis=1)
+        start, size = start + size, min(2 * size, _UNPACK)
+        cols = _transpose(chunk, ncols)
+        chunk = chunk[_connected(cols, len(chunk), steps)]
+        yield from zip(_ints(chunk), _ints(_circuit_windows(chunk, star)))
+
+
+def _transpose(rows, m: int):
+    """The first m bit columns of packed rows, packed as rows: an (m, ceil(n/64)) uint64 array.
+
+    ``rows`` is an (n, words) uint64 array, bit j of row i at bit j & 63 of
+    word j >> 6.  Turning a chunk of vectors on its side gives one bitset
+    over the chunk per column, so that one array operation acts on every
+    vector at once.
+    """
+    bits = np.unpackbits(rows.astype("<u8", copy=False).view(np.uint8), axis=1, count=m, bitorder="little")
+    packed = np.packbits(bits.T, axis=1, bitorder="little")
+    out = np.zeros((m, 8 * max(1, -(-rows.shape[0] // 64))), dtype=np.uint8)
+    out[:, :packed.shape[1]] = packed
+    return out.view("<u8").astype(np.uint64, copy=False)
+
+
+def _steps(rows: list[int]):
+    """The boundary rows as ``np.bitwise_or.reduceat`` gathers for ``_connected``.
+
+    Returns the columns of each row, row by row, and where each row
+    starts; then the rows of each column, column by column, and where each
+    column starts.  Every column lies in some row.
+    """
+    cols = []
+    for r in rows:
+        while r:
+            low = r & -r
+            cols.append(low.bit_length() - 1)
+            r ^= low
+    sizes = np.array([r.bit_count() for r in rows])
+    cols = np.array(cols, dtype=np.intp)
+    order = np.argsort(cols, kind="stable")
+    ordered = cols[order]
+    col_starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return cols, np.cumsum(sizes) - sizes, np.repeat(np.arange(len(rows)), sizes)[order], col_starts
+
+
+def _connected(cols, n: int, steps):
+    """Whether each of the n vectors held side-on in ``cols`` (``_transpose``) is d-path-connected.
+
+    ``steps`` is ``_steps`` of the boundary rows.  The reach of every
+    vector starts at its lowest column and grows one step at a time, all
+    vectors at once: a row is hit when it holds a reached column, and a
+    column of the support is reached when one of its rows is hit.  A vector
+    is connected when its reach stops growing at its support.
+    """
+    row_cols, row_starts, col_rows, col_starts = steps
+    reach = cols.copy()
+    reach[1:] &= ~np.bitwise_or.accumulate(cols, axis=0)[:-1]
+    while True:
+        hit = np.bitwise_or.reduceat(reach[row_cols], row_starts, axis=0)
+        grown = np.bitwise_or.reduceat(hit[col_rows], col_starts, axis=0) & cols
+        if not (grown != reach).any():
+            break
+        reach = grown
+    short = np.bitwise_or.reduce(reach ^ cols, axis=0).astype("<u8", copy=False)
+    return np.unpackbits(short.view(np.uint8), count=n, bitorder="little") == 0
 
 
 def _even_table():
@@ -180,7 +289,7 @@ def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, 
     ``CycleRecord.sort_key`` order.
     """
     circuits = _pack(supports, len(masks))
-    windows = _circuit_windows(circuits, masks, nverts)
+    windows = _circuit_windows(circuits, _star(masks))
     sizes = _row_popcount(circuits)
     # C(window size, d+1), clipped where no circuit can reach it
     full = np.array([min(math.comb(k, d + 1), len(masks) + 1) for k in range(nverts + 1)], dtype=np.uint64)
@@ -205,25 +314,50 @@ def _pack(masks: list[int], ncols: int):
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), nwords).astype(np.uint64)
 
 
-def _circuit_windows(circuits, masks: list[int], nverts: int):
-    """The vertex window of each packed circuit, packed over vertices.
+def _star(masks: list[int]):
+    """The star-AND terms of ``_circuit_windows`` for the columns ``masks``.
 
-    Only the faces of some circuit and their vertices are visited, and
-    each vertex only at the words where it has such a face.
+    One term per vertex and 64-column word holding some of the vertex's
+    faces, in vertex order: that word, those faces, and the vertex's bit
+    in its window word.  Then where each window word's terms start.
     """
-    union = np.bitwise_or.reduce(circuits, axis=0)
-    star: dict[int, dict[int, int]] = {}  # vertex -> {word: its faces' columns there}
-    for j in _bits(int.from_bytes(union.astype("<u8").tobytes(), "little")):
-        for v in _bits(masks[j]):
-            words = star.setdefault(v, {})
-            words[j >> 6] = words.get(j >> 6, 0) | 1 << (j & 63)
-    windows = np.zeros((circuits.shape[0], max(1, -(-nverts // 64))), dtype=np.uint64)
-    for v, words in star.items():
-        hit = np.zeros(circuits.shape[0], dtype=bool)
-        for k, word in words.items():
-            hit |= (circuits[:, k] & np.uint64(word)) != 0
-        windows[:, v >> 6] |= hit.astype(np.uint64) << np.uint64(v & 63)
-    return windows
+    star: dict[int, int] = {}  # vertex -> the columns of its faces
+    for j, m in enumerate(masks):
+        while m:
+            low = m & -m
+            v = low.bit_length() - 1
+            star[v] = star.get(v, 0) | 1 << j
+            m ^= low
+    vertices, words, faces = [], [], []
+    for v in sorted(star):
+        for k in range(star[v].bit_length() + 63 >> 6):
+            if star[v] >> 64 * k & 0xFFFFFFFFFFFFFFFF:
+                vertices.append(v)
+                words.append(k)
+                faces.append(star[v] >> 64 * k & 0xFFFFFFFFFFFFFFFF)
+    starts = [bisect.bisect_left(vertices, 64 * k) for k in range(vertices[-1] // 64 + 2)]
+    bits = np.uint64(1) << np.array([v & 63 for v in vertices], dtype=np.uint64)
+    return np.array(words, dtype=np.intp), np.array(faces, dtype=np.uint64)[:, None], bits[:, None], starts
+
+
+def _circuit_windows(rows, star):
+    """The vertex window of each packed vector, packed over vertices: the star-AND.
+
+    ``star`` is ``_star`` of the columns.  A vertex is in a vector's window
+    when the vector meets the vertex's faces in some word.  Each term is
+    one row of a single AND over all vectors at once, and one OR-reduce per
+    window word folds the terms in, so the numpy calls do not grow with the
+    vertices.  Vectors are taken ``_BLOCK`` terms' worth at a time, which
+    bounds the memory of the terms.
+    """
+    words, faces, bits, starts = star
+    out = np.zeros((len(rows), len(starts) - 1), dtype=np.uint64)
+    step = max(1, _BLOCK // len(words))
+    for at in range(0, len(rows), step):
+        hit = ((rows.T[words, at:at + step] & faces) != 0) * bits
+        for k in range(len(starts) - 1):
+            out[at:at + step, k] = np.bitwise_or.reduce(hit[starts[k]:starts[k + 1]], axis=0)
+    return out
 
 
 def _row_popcount(rows):

@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from chorded import (
@@ -139,6 +141,25 @@ def test_exhaustive_search_hexagon_finds_set():
     record = exhaustive_chord_set_search(hexagon, ambient)
     assert record is not None
     assert record.chords
+
+
+def test_exhaustive_search_leaves_no_reference_cycles():
+    ambient = hexagon_with_long_chords()
+    hexagon = cycle_on(ambient, [("v0", "v1"), ("v1", "v2"), ("v2", "v3"),
+                                 ("v3", "v4"), ("v4", "v5"), ("v0", "v5")], 1)
+    omega = cycle_from_complex(bipyramid(), 2)
+    calls = [(hexagon, ambient), (omega, bipyramid_with_chord())]
+    for cycle, amb in calls:  # first calls import and cache what they use
+        exhaustive_chord_set_search(cycle, amb)
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(20):
+            for cycle, amb in calls:
+                assert exhaustive_chord_set_search(cycle, amb) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_exhaustive_search_absent_without_candidates():

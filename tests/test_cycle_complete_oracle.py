@@ -38,6 +38,7 @@ from chorded.cycles import (
     faces_of,
     faces_within,
     is_vertex_minimal,
+    iter_cycle_supports,
     nullity,
 )
 from chorded.field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks
@@ -291,6 +292,72 @@ def test_lazy_walk_matches_kernel_walk_on_random_face_sets(d, nfaces):
         cap = 1 << boundaries
         assert outcome(cycle_supports, masks, cap) == outcome(kernel_walk_cycle_supports, masks, cap)
     assert (high > 0) == (nfaces > 64)
+
+
+def two_tree_edges(rng: random.Random, triangles: int, pendants: int) -> tuple[int, list[int]]:
+    """Edge masks in column order of a 2-tree of ``triangles`` triangles with ``pendants`` tree edges hung on it.
+
+    Each triangle after the first adds a vertex on an existing edge, so the
+    nullity is ``triangles``.  Every induced cycle of a 2-tree is a
+    triangle, so no cycle of more than three edges is vertex-minimal and
+    the orientable walk visits the whole span.  Vertex ids are shuffled.
+    """
+    edges = [(0, 1), (0, 2), (1, 2)]
+    n = 3
+    for _ in range(triangles - 1):
+        a, b = rng.choice(edges)
+        edges += [(a, n), (b, n)]
+        n += 1
+    for _ in range(pendants):
+        edges.append((rng.randrange(n), n))
+        n += 1
+    relabel = list(range(n))
+    rng.shuffle(relabel)
+    return n, [f.mask for f in face_columns(Face.of((relabel[a], relabel[b])) for a, b in edges)]
+
+
+def assert_walks_agree(n: int, d: int, masks: list[int], caps) -> list[int]:
+    """Supports, windows and orientable outcomes of the chunked walk against the kernel walks; returns the cycles."""
+    expected = kernel_walk_cycle_supports(masks, DEFAULT_KERNEL_CAP)
+    pairs = list(iter_cycle_supports(masks, DEFAULT_KERNEL_CAP))
+    assert [support for support, _ in pairs] == expected
+    for support, window in pairs:
+        assert window == functools.reduce(int.__or__, (masks[j] for j in _bits(support)))
+    c = Complex(n, [Face(m) for m in masks])
+    for cap in caps:
+        assert outcome(cycle_supports, masks, cap) == outcome(kernel_walk_cycle_supports, masks, cap)
+        assert outcome(is_d_cycle_complete, c, d, True, cap) == outcome(kernel_walk_orientably_complete, c, d, cap)
+    return expected
+
+
+@pytest.mark.parametrize("triangles", [13, 14])
+def test_chunked_walk_matches_kernel_walk_across_chunks(triangles):
+    # spans of 2^13 and 2^14 vectors: the chunks of 16, 32, ..., 4096 vectors
+    # and then whole ones of packed._UNPACK, over 67 and 69 columns
+    from chorded import packed
+
+    n, masks = two_tree_edges(random.Random(triangles), triangles, 40)
+    assert 1 << nullity(masks) > packed._UNPACK and len(masks) > 64
+    expected = assert_walks_agree(n, 1, masks, (1 << 4, 1 << 13, DEFAULT_KERNEL_CAP))
+    assert len(expected) > packed._UNPACK and any(m >> 64 for m in expected) == (triangles == 14)
+
+
+def test_chunked_walk_matches_kernel_walk_on_sparse_wide_span():
+    # 13 tetrahedron boundaries in a stacked 2-tree of 100 faces: a span of
+    # 8191 vectors of which only 31 are connected
+    masks = random_face_set(random.Random(0), 2, 100, 13)
+    assert nullity(masks) == 13
+    expected = assert_walks_agree(max(masks).bit_length() + 64, 2, masks, (1 << 8, DEFAULT_KERNEL_CAP))
+    assert len(expected) == 31 and any(m >> 64 for m in expected)
+
+
+def test_chunked_walk_on_empty_and_one_vector_spans():
+    # a triangle with 70 tree edges hung on it, and the same without one triangle edge
+    n, masks = two_tree_edges(random.Random(5), 1, 70)
+    (cycle,) = assert_walks_agree(n, 1, masks, (1, 2, DEFAULT_KERNEL_CAP))
+    assert cycle.bit_count() == 3 and len(masks) > 64
+    tree = [m for j, m in enumerate(masks) if j != cycle.bit_length() - 1]
+    assert assert_walks_agree(n, 1, tree, (1, DEFAULT_KERNEL_CAP)) == []
 
 
 def test_lazy_walk_matches_kernel_walk_on_corpus():

@@ -257,19 +257,21 @@ def _bucket_sieve(face_masks, cap):
 def _per_circuit_sieve(face_masks, cap):
     """Second oracle for ``minimal_kernel_supports``: the per-circuit numpy filter.
 
-    Takes the kernel span sorted by (popcount, mask) (``packed.kernel_span``)
-    and packs it again, one array per 64 columns; the first vector left is
-    always a circuit, and each circuit drops every vector containing it,
-    i.e. every vector that misses none of its bits in any word.
+    Takes the kernel span sorted by (size, mask) and packs it, one array
+    per 64 columns; the first vector left is always a circuit, and each
+    circuit drops every vector containing it, i.e. every vector that misses
+    none of its bits in any word.
     """
     from chorded import packed
     from chorded.cycles import _check_span, _kernel
+    from chorded.field_linalg import gf2_span
 
     if not face_masks:
         return []
     _, basis = _kernel(face_masks)
     _check_span(basis, cap)
-    rows = packed._pack([v for part in packed.kernel_span(basis, len(face_masks)) for v in part], len(face_masks))
+    span = sorted(gf2_span(basis), key=lambda v: (v.bit_count(), v))
+    rows = packed._pack(span, len(face_masks))
     words = [rows[:, j].copy() for j in range(rows.shape[1])]
     minimal = []
     while words[0].size:
