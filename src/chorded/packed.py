@@ -124,8 +124,7 @@ def connected_span(basis: list[int], masks: list[int], rows: list[int]):
         at = order[start:start + size]
         chunk = np.stack([w[at] for w in words], axis=1)
         start, size = start + size, min(2 * size, _UNPACK)
-        cols = _transpose(chunk, ncols)
-        chunk = chunk[_connected(cols, len(chunk), steps)]
+        chunk = chunk[_connected(_transpose(chunk, ncols), len(chunk), steps)]
         yield from zip(_ints(chunk), _ints(_circuit_windows(chunk, star)))
 
 
