@@ -118,7 +118,10 @@ def connected_span(basis: list[int], masks: list[int], rows: list[int]):
             span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
         words.append(span[1:])
     order = np.lexsort(words + [sum(_popcount(w) for w in words)])
-    star, steps = _star(masks), _steps(rows)
+    union = 0
+    for b in basis:
+        union |= b
+    star, steps = _star(masks, union), _steps(rows)
     start, size = 0, _FIRST
     while start < order.size:
         at = order[start:start + size]
@@ -288,7 +291,8 @@ def decide_circuits(supports: list[int], masks: list[int], nverts: int, d: int, 
     ``CycleRecord.sort_key`` order.
     """
     circuits = _pack(supports, len(masks))
-    windows = _circuit_windows(circuits, _star(masks))
+    (union,) = _ints(np.bitwise_or.reduce(circuits, axis=0, keepdims=True))
+    windows = _circuit_windows(circuits, _star(masks, union))
     sizes = _row_popcount(circuits)
     # C(window size, d+1), clipped where no circuit can reach it
     full = np.array([min(math.comb(k, d + 1), len(masks) + 1) for k in range(nverts + 1)], dtype=np.uint64)
@@ -313,15 +317,17 @@ def _pack(masks: list[int], ncols: int):
     return np.frombuffer(raw, dtype="<u8").reshape(len(masks), nwords).astype(np.uint64)
 
 
-def _star(masks: list[int]):
+def _star(masks: list[int], union: int):
     """The star-AND terms of ``_circuit_windows`` for the columns ``masks``.
 
     One term per vertex and 64-column word holding some of the vertex's
     faces, in vertex order: that word, those faces, and the vertex's bit
-    in its window word.  Then where each window word's terms start.
+    in its window word.  Then where each window word's terms start.  Only
+    the columns in ``union``, those the vectors can hold, are visited.
     """
     star: dict[int, int] = {}  # vertex -> the columns of its faces
-    for j, m in enumerate(masks):
+    for j in _bits(union):
+        m = masks[j]
         while m:
             low = m & -m
             v = low.bit_length() - 1
@@ -330,10 +336,11 @@ def _star(masks: list[int]):
     vertices, words, faces = [], [], []
     for v in sorted(star):
         for k in range(star[v].bit_length() + 63 >> 6):
-            if star[v] >> 64 * k & 0xFFFFFFFFFFFFFFFF:
+            word = star[v] >> 64 * k & 0xFFFFFFFFFFFFFFFF
+            if word:
                 vertices.append(v)
                 words.append(k)
-                faces.append(star[v] >> 64 * k & 0xFFFFFFFFFFFFFFFF)
+                faces.append(word)
     starts = [bisect.bisect_left(vertices, 64 * k) for k in range(vertices[-1] // 64 + 2)]
     bits = np.uint64(1) << np.array([v & 63 for v in vertices], dtype=np.uint64)
     return np.array(words, dtype=np.intp), np.array(faces, dtype=np.uint64)[:, None], bits[:, None], starts
