@@ -347,7 +347,7 @@ def test_chunked_walk_matches_kernel_walk_on_sparse_wide_span():
     # 8191 vectors of which only 31 are connected
     masks = random_face_set(random.Random(0), 2, 100, 13)
     assert nullity(masks) == 13
-    expected = assert_walks_agree(max(masks).bit_length() + 64, 2, masks, (1 << 8, DEFAULT_KERNEL_CAP))
+    expected = assert_walks_agree(max(masks).bit_length(), 2, masks, (1 << 8, DEFAULT_KERNEL_CAP))
     assert len(expected) == 31 and any(m >> 64 for m in expected)
 
 
