@@ -15,22 +15,21 @@ set whose witnesses are not complete cycles.  The tiny exhaustive searcher
 exists to cross-validate the two routes and is bounded by the caller's cap.
 
 ``is_d_chorded`` finds the face-minimal cycles by one rank pass over the
-kernel coefficients (``cycles.minimal_kernel_supports``) and decides every
-one of them in one numpy pass over the packed circuit words
+kernel coefficients (``cycles.minimal_kernel_supports``) and decides them
+all in one numpy pass over the packed circuit words
 (``packed.decide_circuits``): vertex windows, completeness, and membership
-by sweeping the pivot columns of the per-window solver rows, so its numpy
-work grows with the columns and vertices the circuits touch, not with the
-circuits.  The solvers work on int masks only.  ``_window_solver`` caches,
-per complex and d, the d-face masks in column order and the closure's
-(d+1)-sets from one ``_closure_level``; ``_window_basis`` filters both for
-a window (``m & ~wmask == 0``) into the solver triple (window columns,
-window tops, pivot rows over the global columns), built once per window
-within a call.  A passing cycle's chord set comes from its preimage: each
-chosen top's boundary columns are a witness, and the witness columns
-outside the cycle are the chords.  ``_chord_set_holds`` checks it over
-column masks; it is the one chord-set check, and ``verify_chord_set`` and
-``boundary_chord_test`` are thin wrappers over it.  Python runs once per
-window and once per returned certificate.
+by sweeping the pivot columns of the per-window solver rows.  The solvers
+work on int masks: ``_window_solver`` caches, per complex and d, the d-face
+masks in column order and the closure's (d+1)-sets, and ``_window_basis``
+filters both for a window into the solver triple (window columns, window
+tops, pivot rows over the global columns), once per window within a call.
+A passing cycle's chord set comes from its preimage: each chosen top's
+boundary columns are a witness, and the witness columns outside the cycle
+are the chords.  ``_chord_set_holds`` is the one chord-set check, over
+column masks; ``verify_chord_set`` and ``boundary_chord_test`` wrap it.
+The certificates are mask records over the complex's d-face tuple, with
+no ``Face`` set: their ``faces`` and ``chords`` are built on first read,
+and the CLI's JSON reads its label lists off the masks.
 
 Cap overruns always surface as ``CapExceeded`` (inconclusive), never as a
 negative verdict.
@@ -41,13 +40,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
-from .complex_core import Complex, Face, _bits, _closure_level, _require_pure
+from .complex_core import Complex, Face, _bits, _closure_level, _require_pure, _union
 from .cycles import (
     CycleRecord,
-    FaceSets,
     _is_cycle,
+    _Record,
     _orientation,
     _sign_classes,
     cycle_supports,
@@ -78,16 +77,33 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ChordSetRecord:
-    """A verified chord set: the chords, the witness cycles, and how it was found."""
+class ChordSetRecord(_Record):
+    """A verified chord set: the chords, the witness cycles, and how it was found.
 
-    chords: frozenset[Face]
-    witnesses: tuple[CycleRecord, ...]
-    source: str  # "exhaustive" or "boundary_certificate"
+    The chords are a column mask ``chord_mask`` over ``columns``, as in
+    ``CycleRecord``; ``source`` is "exhaustive" or "boundary_certificate".
+    """
 
-    def sort_key(self) -> tuple:
-        return tuple(sorted(f.vertices for f in self.chords))
+    def __init__(self, chords, witnesses, source: str):
+        columns = tuple(face_columns(frozenset(chords)))
+        vars(self).update(columns=columns, chord_mask=(1 << len(columns)) - 1, witnesses=tuple(witnesses),
+                          source=source)
+
+    @classmethod
+    def from_masks(cls, d: int, columns: tuple[Face, ...], chords: int, witnesses: list[int],
+                   source: str) -> ChordSetRecord:
+        """The chords and the witness d-cycles at the set bits of column masks over ``columns``."""
+        record = cls.__new__(cls)
+        vars(record).update(columns=columns, chord_mask=chords, source=source,
+                            witnesses=tuple(CycleRecord.from_mask(d, columns, w) for w in witnesses))
+        return record
+
+    @cached_property
+    def chords(self) -> frozenset[Face]:
+        return faces_of(self.chord_mask, self.columns)
+
+    def _key(self) -> tuple:
+        return tuple(self.columns[j].mask for j in _bits(self.chord_mask)), self.witnesses, self.source
 
 
 @dataclass(frozen=True)
@@ -177,15 +193,14 @@ def _chord_set_holds(masks: list[int], ambient: int, cycle: int, chords: int, wi
     if len(witnesses) < 2 or chords & (cycle | ~ambient) or _vertex_mask(_bits(chords), masks) & ~vmask:
         return False
     target = cycle | chords
-    union = total = 0
+    total = 0
     for w in witnesses:
         if w & ~target or _vertex_mask(_bits(w), masks).bit_count() >= vmask.bit_count():
             return False
         if not _is_cycle([masks[j] for j in _bits(w)], d):
             return False
-        union |= w
         total ^= w
-    return union == target and total == cycle
+    return _union(witnesses) == target and total == cycle
 
 
 @lru_cache(maxsize=256)
@@ -243,13 +258,10 @@ def _preimage(pivots: dict[int, tuple[int, int]], rhs: int) -> int | None:
 
 def _vertex_mask(cols, masks: list[int]) -> int:
     """The vertex set of the faces at the given columns."""
-    vmask = 0
-    for j in cols:
-        vmask |= masks[j]
-    return vmask
+    return _union(masks[j] for j in cols)
 
 
-def _chord_set(basis, support: int, masks: list[int], faces_at: FaceSets, d: int) -> ChordSetRecord | None:
+def _chord_set(basis, support: int, columns: tuple[Face, ...], masks: list[int], d: int) -> ChordSetRecord | None:
     """The verified boundary certificate of a cycle (a column mask) from its window's basis, or None.
 
     Witness i is the boundary of the i-th chosen (d+1)-set, and the chords
@@ -260,14 +272,10 @@ def _chord_set(basis, support: int, masks: list[int], faces_at: FaceSets, d: int
     if chosen is None:
         return None
     witnesses = [_top_row(tops[j], column) for j in _bits(chosen)]
-    chords = 0
-    for w in witnesses:
-        chords |= w
-    chords &= ~support
+    chords = _union(witnesses) & ~support
     if not _chord_set_holds(masks, (1 << len(masks)) - 1, support, chords, witnesses, d):
         raise AssertionError("boundary certificate failed chord-set verification")
-    witness_records = tuple(CycleRecord(d, faces_at(w)) for w in witnesses)
-    return ChordSetRecord(faces_at(chords), witness_records, "boundary_certificate")
+    return ChordSetRecord.from_masks(d, columns, chords, witnesses, "boundary_certificate")
 
 
 def boundary_chord_test(cycle: CycleRecord, ambient: Complex) -> ChordSetRecord | None:
@@ -282,17 +290,24 @@ def boundary_chord_test(cycle: CycleRecord, ambient: Complex) -> ChordSetRecord 
     polynomial elimination over the window, with no exponential work for a
     cap to refuse.
     """
-    d = cycle.dim
-    _require_pure(ambient, d, "boundary_chord_test")
-    if cycle.is_complete():
-        raise InputError("boundary_chord_test expects a non-d-complete cycle")
-    if nullity([f.mask for f in cycle.faces]) != 1:
+    d = _check_chord_input(cycle, ambient, "boundary_chord_test")
+    if nullity([f.mask for f in cycle.face_list()]) != 1:
         raise InputError("boundary_chord_test expects a face-minimal cycle")
     solver = _window_solver(ambient, d)
-    faces = face_columns(ambient.faces(d))
-    column = {f: j for j, f in enumerate(faces)}
-    support = sum(1 << column[f] for f in cycle.faces)
-    return _chord_set(_window_basis(solver, cycle.vertex_mask), support, solver[0], FaceSets(faces), d)
+    columns = tuple(face_columns(ambient.faces(d)))
+    column = {f: j for j, f in enumerate(columns)}
+    support = sum(1 << column[f] for f in cycle.face_list())
+    return _chord_set(_window_basis(solver, cycle.vertex_mask), support, columns, solver[0], d)
+
+
+def _check_chord_input(cycle: CycleRecord, ambient: Complex, name: str) -> int:
+    """The cycle's dimension, once the ambient is pure of it and the cycle lies inside it and is not complete."""
+    _require_pure(ambient, cycle.dim, name)
+    if not cycle.faces <= ambient.faces(cycle.dim):
+        raise InputError(f"{name} expects a cycle inside the ambient complex")
+    if cycle.is_complete():
+        raise InputError(f"{name} expects a non-d-complete cycle")
+    return cycle.dim
 
 
 def exhaustive_chord_set_search(
@@ -310,36 +325,22 @@ def exhaustive_chord_set_search(
     Refuses with ``CapExceeded`` before any search when the 2^k subsets of
     the k candidate chords exceed ``cap``.
     """
-    d = cycle.dim
-    _require_pure(ambient, d, "exhaustive_chord_set_search")
-    if cycle.is_complete():
-        raise InputError("exhaustive_chord_set_search expects a non-d-complete cycle")
+    d = _check_chord_input(cycle, ambient, "exhaustive_chord_set_search")
     wmask = cycle.vertex_mask
     candidates = [f for f in faces_within(ambient, d, wmask) if f not in cycle.faces]
     k = len(candidates)
     if 1 << k > cap:
         raise CapExceeded(f"exhaustive chord search over 2^{k} chord sets", 1 << k, cap)
-
-    nverts = len(cycle.vertices)
-
     for size in range(1, len(candidates) + 1):
         for chord_combo in itertools.combinations(candidates, size):
-            universe = face_columns(cycle.faces | set(chord_combo))
-            target = chord_cover = 0
-            for j, f in enumerate(universe):
-                if f in cycle.faces:
-                    target |= 1 << j
-                else:
-                    chord_cover |= 1 << j
-            pool = {comp: CycleRecord(d, faces_of(comp, universe))
-                    for comp in cycle_supports([f.mask for f in universe], cap)}
-            usable = [comp for comp, rec in pool.items() if len(rec.vertices) < nverts]
+            universe = tuple(face_columns(cycle.faces | set(chord_combo)))
+            masks = [f.mask for f in universe]
+            target = sum(1 << j for j, f in enumerate(universe) if f in cycle.faces)
+            chord_cover = (1 << len(universe)) - 1 ^ target
+            usable = [w for w in cycle_supports(masks, cap) if _vertex_mask(_bits(w), masks) != wmask]
             found = _cover_search(usable, target, chord_cover, cap)
-            if found is not None and len(found) >= 2:
-                witnesses = tuple(pool[comp] for comp in found)
-                record = ChordSetRecord(frozenset(chord_combo), witnesses, "exhaustive")
-                if verify_chord_set(record.chords, cycle, ambient, record.witnesses):
-                    return record
+            if found is not None and _chord_set_holds(masks, (1 << len(masks)) - 1, target, chord_cover, found, d):
+                return ChordSetRecord.from_masks(d, universe, chord_cover, found, "exhaustive")
     return None
 
 
@@ -382,14 +383,14 @@ def is_d_chorded(
     them are decided together as packed arrays (``packed.decide_circuits``):
     a circuit is complete when it has C(window size, d+1) faces, and every
     other one is decided by the boundary-membership test of its vertex
-    window.  Explicit verified chord-set records are materialized for the
-    first ``certificate_limit`` passing cycles in canonical order (pass
-    None for all of them) and always for every failing cycle, in
-    ``CycleRecord.sort_key`` order.  The verdict itself covers every cycle
-    regardless of the limit.
+    window.  Verified chord-set records, column masks over the d-face
+    tuple with no ``Face`` set built, are made for the first
+    ``certificate_limit`` passing cycles in canonical order (pass None for
+    all) and for every failing cycle, in ``CycleRecord.sort_key`` order.
+    The verdict itself covers every cycle regardless of the limit.
     """
     _require_pure(c, d, "is_d_chorded")
-    faces = face_columns(c.faces(d))
+    faces = tuple(face_columns(c.faces(d)))
     masks = [f.mask for f in faces]
     supports = minimal_kernel_supports(masks, cap)
     if not supports:
@@ -407,10 +408,9 @@ def is_d_chorded(
     complete, non_complete, shown = packed.decide_circuits(
         supports, masks, c.vertex_count, d, basis, certificate_limit)
     certificates: list[tuple[CycleRecord, ChordSetRecord | None]] = []
-    faces_at = FaceSets(faces)
     for support, passes in shown:
-        record = CycleRecord(d, faces_at(support), face_minimal=True)
-        chord_set = _chord_set(basis(record.vertex_mask), support, masks, faces_at, d) if passes else None
+        record = CycleRecord.from_mask(d, faces, support, face_minimal=True)
+        chord_set = _chord_set(basis(record.vertex_mask), support, faces, masks, d) if passes else None
         certificates.append((record, chord_set))
     return DChordedResult(
         d,

@@ -27,6 +27,7 @@ import time
 from . import __version__
 from .complex_core import (
     Complex,
+    _bits,
     build_complex,
     d_closure,
     d_complement,
@@ -109,7 +110,7 @@ def _face_labels(c: Complex, face) -> list[str]:
 def _cycle_json(c: Complex, record: CycleRecord) -> dict:
     out: dict = {
         "dim": record.dim,
-        "faces": sorted(_face_labels(c, f) for f in record.faces),
+        "faces": sorted(_face_labels(c, f) for f in record.face_list()),
         "vertices": [c.labels[v] for v in record.vertices],
         "complete": record.is_complete(),
     }
@@ -125,8 +126,8 @@ def _cycle_json(c: Complex, record: CycleRecord) -> dict:
 
 def _chord_set_json(c: Complex, record: ChordSetRecord) -> dict:
     return {
-        "chords": sorted(_face_labels(c, f) for f in record.chords),
-        "witnesses": [sorted(_face_labels(c, f) for f in w.faces) for w in record.witnesses],
+        "chords": sorted(_face_labels(c, record.columns[j]) for j in _bits(record.chord_mask)),
+        "witnesses": [sorted(_face_labels(c, f) for f in w.face_list()) for w in record.witnesses],
         "source": record.source,
     }
 

@@ -56,6 +56,14 @@ def _mask_of(ids: Iterable[int]) -> int:
     return mask
 
 
+def _union(masks: Iterable[int]) -> int:
+    """The bitwise OR of int masks."""
+    out = 0
+    for m in masks:
+        out |= m
+    return out
+
+
 class Face:
     """An immutable, strictly sorted set of vertex ids (possibly empty).
 

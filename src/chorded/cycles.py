@@ -2,30 +2,32 @@
 
 A d-dimensional cycle is a pure d-dimensional, d-path-connected complex in
 which every (d-1)-face lies in an even number of d-faces.  Over GF(2) these
-are exactly the nonzero kernel vectors of the d-th boundary map whose
-supports are d-path-connected (a d-path component of any kernel support is
-itself a kernel vector), which makes exhaustive enumeration possible: the
-kernel has 2^nullity vectors, and the enumerations take them from one
-sorted span under a configurable cap rather than using support-closure
-heuristics.
+are exactly the nonzero kernel vectors of the d-th boundary map with
+d-path-connected support (a d-path component of a kernel support is itself
+a kernel vector), so the enumerations take them from the 2^nullity kernel
+vectors under a cap.
 
-The packed layout of the kernel span, its (popcount, mask) order and the
-array code over it live in ``packed``, which this module imports on first
-use.  ``iter_cycle_supports`` is the one enumeration of cycles on a face
-list (``cycle_supports`` lists it, and ``decompose_cycle`` takes its first
-cycle): ``packed.connected_span`` sorts the span once, takes it in chunks
-that double up to 4096 vectors, keeps each chunk's d-path-connected
-vectors by one breadth-first frontier over the whole chunk in numpy, and
-gives them their vertex windows by the circuits' star-AND, so the
-(cycle, window) pairs come lazily with no Python connectivity test per
-vector.  ``minimal_kernel_supports`` builds no span: a combination of
-kernel basis vectors is a face-minimal cycle exactly when a rank over its
-coefficients is full, and ``packed.circuit_supports`` tests every
-coefficient set at once.  Each takes its basis from ``_kernel``, and all
-of them refuse with ``CapExceeded`` before any work when the kernel holds
-more than ``cap`` vectors (default ``DEFAULT_KERNEL_CAP`` = 2^20).
-Only ``classify_minimality`` still walks a span in Gray-code order
-(``_cycle_walk``), which fixes where its refusals fall.
+A face tuple in ``face_columns`` order gives the columns, and a set of
+faces is an int column mask over them.  A ``CycleRecord`` is such a mask
+over a tuple that many records share: the enumerations,
+``classify_minimality`` and ``is_d_chorded`` build and read records from
+masks, a record's ``faces`` frozenset is built only when a caller reads
+it, and the CLI's JSON reads its label lists off the masks.
+
+The packed kernel span, its (popcount, mask) order and the array code over
+it live in ``packed``, imported on first use.  ``iter_cycle_supports`` is
+the one enumeration of cycles on a face list: ``packed.connected_span``
+sorts the span once and, a chunk at a time (doubling up to 4096 vectors),
+keeps the d-path-connected vectors by one breadth-first pass in numpy and
+gives them their vertex windows by the star-AND.  ``minimal_kernel_supports``
+builds no span: a combination of kernel basis vectors is a face-minimal
+cycle exactly when a rank over its coefficients is full, and
+``packed.circuit_supports`` tests every coefficient set at once.  All of
+them take their basis from ``_kernel`` and refuse with ``CapExceeded``
+before any work when the kernel holds more than ``cap`` vectors (default
+``DEFAULT_KERNEL_CAP`` = 2^20).  Only ``classify_minimality`` still walks a
+span in Gray-code order (``_cycle_walk``), which fixes where its refusals
+fall.
 
 Orientability is decided over column masks in two stages: ``_sign_classes``
 ties the face signs across subfaces of incidence 2 and applies the cap to
@@ -43,11 +45,11 @@ windows carry a nonzero cycle space, with ``cap`` counting windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
-from functools import lru_cache
-from typing import Iterator
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
+from typing import Iterator, Sequence
 
-from .complex_core import Complex, Face, _bits, _closure_level, face_columns
+from .complex_core import Complex, Face, _bits, _closure_level, _mask_of, _union, face_columns
 from .errors import CapExceeded, InputError
 from .field_linalg import DEFAULT_KERNEL_CAP, gf2_kernel_masks, gf2_reduce, gf2_rref, gf2_span
 
@@ -64,30 +66,62 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CycleRecord:
+_FLAGS = ("face_minimal", "vertex_minimal", "orientable", "orientation",
+          "orientably_face_minimal", "orientably_vertex_minimal")
+
+
+class _Record:
+    """Immutable, but for the face sets cached on first read; equal, hashed and shown by ``_key()``."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        return self._key() == other._key() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return f"{type(self).__name__}{self._key()!r}"
+
+
+class CycleRecord(_Record):
     """A d-dimensional cycle plus lazily computed classification flags.
 
-    ``orientation`` holds a witness sign per face when the cycle is
-    orientable.  Flags are ``None`` until ``classify_minimality`` or
-    ``is_orientable`` fills them in.
+    The faces are a column mask ``support`` over ``columns``, a face tuple
+    in ``face_columns`` order that records share; ``faces`` is built on
+    first read.  ``CycleRecord(dim, faces, **flags)`` wraps a face set and
+    ``from_mask`` a mask, and records with equal dimensions, face sets and
+    flags are equal.  ``orientation`` holds a witness sign per face when
+    the cycle is orientable.  Flags are ``None`` until
+    ``classify_minimality`` or ``is_orientable`` fills them in.
     """
 
-    dim: int
-    faces: frozenset[Face]
-    face_minimal: bool | None = None
-    vertex_minimal: bool | None = None
-    orientable: bool | None = None
-    orientation: tuple[tuple[Face, int], ...] | None = None
-    orientably_face_minimal: bool | None = None
-    orientably_vertex_minimal: bool | None = None
+    def __init__(self, dim: int, faces, **flags):
+        columns = tuple(face_columns(frozenset(faces)))
+        vars(self).update(vars(self.from_mask(dim, columns, (1 << len(columns)) - 1, **flags)))
+
+    @classmethod
+    def from_mask(cls, dim: int, columns: tuple[Face, ...], support: int, **flags) -> CycleRecord:
+        """The cycle on the faces at the set bits of ``support`` over ``columns``."""
+        if flags.keys() - set(_FLAGS):
+            raise TypeError(f"unknown CycleRecord flags {sorted(flags.keys() - set(_FLAGS))}")
+        record = cls.__new__(cls)
+        vars(record).update(dict.fromkeys(_FLAGS), dim=dim, columns=columns, support=support, **flags)
+        return record
+
+    @cached_property
+    def faces(self) -> frozenset[Face]:
+        return frozenset(self.face_list())
+
+    def face_list(self) -> list[Face]:
+        """The faces in column order, with no face set built."""
+        return [self.columns[j] for j in _bits(self.support)]
 
     @property
     def vertex_mask(self) -> int:
-        m = 0
-        for f in self.faces:
-            m |= f.mask
-        return m
+        return _union(f.mask for f in self.face_list())
 
     @property
     def vertices(self) -> tuple[int, ...]:
@@ -95,10 +129,13 @@ class CycleRecord:
 
     def is_complete(self) -> bool:
         """d-complete on its own vertex set."""
-        return len(self.faces) == math.comb(len(self.vertices), self.dim + 1)
+        return self.support.bit_count() == math.comb(self.vertex_mask.bit_count(), self.dim + 1)
 
     def sort_key(self) -> tuple:
-        return (len(self.faces), tuple(sorted(f.vertices for f in self.faces)))
+        return (self.support.bit_count(), tuple(f.vertices for f in self.face_list()))
+
+    def _key(self) -> tuple:
+        return (self.dim, tuple(f.mask for f in self.face_list()), *map(vars(self).get, _FLAGS))
 
 
 @dataclass(frozen=True)
@@ -134,43 +171,9 @@ def faces_within(c: Complex, d: int, wmask: int) -> list[Face]:
     return face_columns(f for f in c.faces(d) if f.mask & ~wmask == 0)
 
 
-def faces_of(mask: int, faces: list[Face]) -> frozenset[Face]:
+def faces_of(mask: int, faces: Sequence[Face]) -> frozenset[Face]:
     """The faces at the set bits of a column mask."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(faces[low.bit_length() - 1])
-        mask ^= low
-    return frozenset(out)
-
-
-class _ByteFaces(dict):
-    """Byte value -> frozenset of the faces at its set bits, among eight faces; built on first use."""
-
-    def __init__(self, faces: list[Face]):
-        super().__init__()
-        self.faces = faces
-
-    def __missing__(self, byte: int) -> frozenset[Face]:
-        part = self[byte] = frozenset(self.faces[j] for j in _bits(byte))
-        return part
-
-
-class FaceSets:
-    """``faces_of`` over one face list, memoised for many masks.
-
-    A mask's face set is the union of memoised per-byte frozensets, looked
-    up at C speed (one ``_ByteFaces`` per byte position, mapped over the
-    mask's bytes), and frozenset union reuses the stored hashes, so no face
-    is hashed again.
-    """
-
-    def __init__(self, faces: list[Face]):
-        self.nbytes = max(1, -(-len(faces) // 8))
-        self.parts = [_ByteFaces(faces[i:i + 8]) for i in range(0, 8 * self.nbytes, 8)]
-
-    def __call__(self, mask: int) -> frozenset[Face]:
-        return frozenset().union(*map(dict.__getitem__, self.parts, mask.to_bytes(self.nbytes, "little")))
+    return frozenset(faces[j] for j in _bits(mask))
 
 
 def _subface_columns(face_masks: list[int]) -> dict[int, int]:
@@ -383,13 +386,8 @@ def minimal_windows_complete(face_masks: list[int], d: int, cap: int) -> bool:
 
     def add(basis: list[int]) -> bool:
         """Queue the window of a cycle space; False when it holds no complete cycle."""
-        support = 0
-        for vec in basis:
-            support |= vec
-        wmask = 0
-        for v, cols in star.items():
-            if support & cols:
-                wmask |= 1 << v
+        support = _union(basis)
+        wmask = _mask_of(v for v, cols in star.items() if support & cols)
         if wmask.bit_count() > d + 2:
             top = next((t for t in tops if t & ~wmask == 0), 0)
             if not top:
@@ -483,8 +481,8 @@ def enumerate_cycles_within(
         if not (0 <= v < c.vertex_count):
             raise InputError(f"unknown vertex id {v}")
         wmask |= 1 << v
-    faces = faces_within(c, d, wmask)
-    records = [CycleRecord(d, faces_of(comp, faces)) for comp in cycle_supports([f.mask for f in faces], cap)]
+    faces = tuple(faces_within(c, d, wmask))
+    records = [CycleRecord.from_mask(d, faces, comp) for comp in cycle_supports([f.mask for f in faces], cap)]
     records.sort(key=CycleRecord.sort_key)
     return records
 
@@ -600,7 +598,7 @@ def is_orientable(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> dict[Fac
     incidence contribute balance constraints checked by a backtracking
     search over the remaining sign freedom (``_sign_search``).
     """
-    faces = face_columns(cycle.faces)
+    faces = cycle.face_list()
     signs = _orientation([f.mask for f in faces], cap)
     return None if signs is None else dict(zip(faces, signs))
 
@@ -617,8 +615,7 @@ def classify_minimality(
     through the plain flags; a face-minimal cycle is the only cycle on its
     faces, so it is orientably face-minimal as soon as it is orientable.
     """
-    faces = face_columns(cycle.faces)
-    masks = [f.mask for f in faces]
+    masks = [f.mask for f in cycle.face_list()]
     subfaces, basis = _kernel(masks)
     vmask = cycle.vertex_mask
     face_min = len(basis) == 1
@@ -630,17 +627,15 @@ def classify_minimality(
     o_face_min: bool | None = None
     o_vertex_min: bool | None = None
     if orientable:
-        full = (1 << len(faces)) - 1
+        full = (1 << len(masks)) - 1
         o_face_min = face_min or not any(
             comp != full and _orientation([masks[j] for j in _bits(comp)], cap) is not None
             for comp in _cycle_walk(subfaces, basis, len(masks), cap)
         )
         o_vertex_min = is_vertex_minimal(ambient, cycle.dim, vmask, True, cap)
 
-    return replace(
-        cycle,
-        face_minimal=face_min,
-        vertex_minimal=vertex_min,
+    return CycleRecord.from_mask(
+        cycle.dim, cycle.columns, cycle.support, face_minimal=face_min, vertex_minimal=vertex_min,
         orientable=orientable,
         orientation=tuple(sorted(orientation.items())) if orientation else None,
         orientably_face_minimal=o_face_min,
@@ -657,14 +652,16 @@ def decompose_cycle(cycle: CycleRecord, cap: int = DEFAULT_KERNEL_CAP) -> Partit
     face-minimal cycle; the remainder stays a disjoint union of cycles, so
     the loop terminates with a full partition.
     """
-    remaining = face_columns(cycle.faces)
-    blocks: list[frozenset[Face]] = []
+    columns, remaining = cycle.columns, cycle.support
+    blocks: list[int] = []  # column masks over the cycle's columns
     while remaining:
-        support, _ = next(iter_cycle_supports([f.mask for f in remaining], cap), (0, 0))
+        cols = list(_bits(remaining))
+        support, _ = next(iter_cycle_supports([columns[j].mask for j in cols], cap), (0, 0))
         if not support:
             raise InputError("input faces are not a disjoint union of cycles")
-        block = faces_of(support, remaining)
+        block = sum(1 << cols[i] for i in _bits(support))
         blocks.append(block)
-        remaining = [f for f in remaining if f not in block]
-    blocks.sort(key=lambda b: tuple(sorted(f.vertices for f in b)))
-    return Partition(tuple(blocks))
+        remaining ^= block
+    # columns follow the vertex-tuple order, so column tuples sort as the blocks' sorted faces
+    blocks.sort(key=lambda b: tuple(_bits(b)))
+    return Partition(tuple(faces_of(b, columns) for b in blocks))

@@ -44,7 +44,7 @@ import math
 
 import numpy as np
 
-from .complex_core import _bits
+from .complex_core import _bits, _union
 
 
 _CHUNK = 1 << 16  # coefficient sets eliminated at a time
@@ -105,10 +105,7 @@ def connected_span(basis: list[int], masks: list[int], rows: list[int]):
     vertex), where numpy's fixed cost would outweigh the work.
     """
     if len(basis) == 1:
-        vmask = 0
-        for j in _bits(basis[0]):
-            vmask |= masks[j]
-        yield basis[0], vmask
+        yield basis[0], _union(masks[j] for j in _bits(basis[0]))
         return
     ncols = len(masks)
     words = []
@@ -118,10 +115,7 @@ def connected_span(basis: list[int], masks: list[int], rows: list[int]):
             span = np.concatenate([span, span ^ np.uint64(b >> shift & 0xFFFFFFFFFFFFFFFF)])
         words.append(span[1:])
     order = np.lexsort(words + [sum(_popcount(w) for w in words)])
-    union = 0
-    for b in basis:
-        union |= b
-    star, steps = _star(masks, union), _steps(rows)
+    star, steps = _star(masks, _union(basis)), _steps(rows)
     start, size = 0, _FIRST
     while start < order.size:
         at = order[start:start + size]

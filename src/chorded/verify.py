@@ -43,12 +43,12 @@ from .corpus import (
 )
 from .cycles import (
     CycleRecord,
-    FaceSets,
     classify_minimality,
     d_path_components,
     decompose_cycle,
     enumerate_cycles_within,
     face_columns,
+    faces_of,
     is_d_dimensional_cycle,
     is_orientable,
     minimal_kernel_supports,
@@ -360,7 +360,7 @@ def verify_corpus(
         if c.vertex_count > 6 or not faces or len(faces) > 10:
             continue
         chk.tick()
-        minimal = set(map(FaceSets(faces), minimal_kernel_supports([f.mask for f in faces], cap)))
+        minimal = {faces_of(s, faces) for s in minimal_kernel_supports([f.mask for f in faces], cap)}
         brute = _brute_force_face_minimal(c, d)
         if minimal != brute:
             chk.fail(random_index=i, complex=_complex_json(c))
@@ -395,14 +395,13 @@ def verify_corpus(
         attempts += 1
         c = _oracle_instance(rng)
         d = 2
-        face_list = face_columns(c.faces(d))
+        face_list = tuple(face_columns(c.faces(d)))
         supports = minimal_kernel_supports([f.mask for f in face_list], cap)
         if not supports:
             continue
         produced += 1
-        faces_at = FaceSets(face_list)
         for s in supports:
-            rec = CycleRecord(d, faces_at(s), face_minimal=True)
+            rec = CycleRecord.from_mask(d, face_list, s, face_minimal=True)
             if rec.is_complete():
                 continue
             chk.tick()

@@ -125,6 +125,14 @@ def test_boundary_chord_test_rejects_complete(tetra):
         boundary_chord_test(record, tetra)
 
 
+@pytest.mark.parametrize("search", [boundary_chord_test, exhaustive_chord_set_search])
+def test_chord_tests_reject_a_cycle_outside_the_ambient(search):
+    ambient = build_complex(["ab", "bc", "cd", "ad", "ae"])
+    square = cycle_on(ambient, ["ab", "bc", "ce", "ae"], 1)  # ce is not an edge of the ambient
+    with pytest.raises(InputError, match="expects a cycle inside the ambient complex"):
+        search(square, ambient)
+
+
 def test_exhaustive_search_matches_boundary_on_bipyramid():
     ambient = bipyramid_with_chord()
     omega = cycle_from_complex(bipyramid(), 2)

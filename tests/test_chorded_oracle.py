@@ -29,7 +29,7 @@ from pathlib import Path
 
 import pytest
 
-from chorded import CapExceeded, Complex, Face, InputError, chordality, is_d_chorded, pure_skeleton
+from chorded import CapExceeded, Complex, Face, InputError, build_complex, chordality, is_d_chorded, pure_skeleton
 from chorded.chordality import ChordSetRecord, DChordedResult
 from chorded.cli import parse_facet_file
 from chorded.corpus import cycle_graph
@@ -215,18 +215,50 @@ def outcome(fn, *args):
         return str(exc), exc.needed, exc.cap
 
 
+def mask_reads(result: DChordedResult) -> list:
+    """What each certificate's cycle and witness records read off their masks, with every record's hash."""
+    out = []
+    for cycle, chord_set in result.certificates:
+        records = [cycle] + ([] if chord_set is None else list(chord_set.witnesses))
+        out.append(([(hash(r), r.sort_key(), r.vertex_mask, r.is_complete()) for r in records], hash(chord_set)))
+    return out
+
+
 def assert_same(c: Complex, d: int, limits=LIMITS, cap: int = DEFAULT_KERNEL_CAP) -> list:
-    """Both routes at each limit; returns the summaries."""
+    """Both routes at each limit; returns the summaries.
+
+    The oracle builds its records from face sets and ``is_d_chorded`` from
+    column masks, so equal records must also hash, sort and read their
+    windows alike.
+    """
     summaries = []
     for limit in limits:
         expected = outcome(circuit_loop_is_d_chorded, c, d, cap, limit)
         got = outcome(is_d_chorded, c, d, cap, limit)
         where = (limit, sorted(f.vertices for f in c.faces(d)))
         if isinstance(expected, DChordedResult) and isinstance(got, DChordedResult):
+            assert mask_reads(got) == mask_reads(expected), where
             assert summary(got) == summary(expected), where
         assert got == expected, where  # the records themselves, flags included
         summaries.append(summary(expected) if isinstance(expected, DChordedResult) else expected)
     return summaries
+
+
+def test_is_d_chorded_builds_face_sets_only_when_read():
+    # the square abcd has the chord ac, the square defg has none
+    c = build_complex(["ab", "bc", "cd", "ad", "ac", "de", "ef", "fg", "dg"])
+    result = is_d_chorded(c, 1)
+    assert [chord_set is None for _, chord_set in result.certificates] == [False, True]
+    chord_set = result.certificates[0][1]
+    lazy = [(cycle, "faces", cycle.support) for cycle, _ in result.certificates]
+    lazy += [(chord_set, "chords", chord_set.chord_mask)] + [(w, "faces", w.support) for w in chord_set.witnesses]
+    for cycle, _ in result.certificates:  # these read the masks
+        hash(cycle), cycle.sort_key(), cycle.vertices, cycle.is_complete()
+    hash(chord_set)
+    assert not [name for record, name, _ in lazy if name in vars(record)]
+    for record, name, mask in lazy:
+        assert getattr(record, name) == faces_of(mask, record.columns)
+        assert name in vars(record)
 
 
 def glued_complex(rng: random.Random, d: int, nfaces: int) -> Complex:
