@@ -66,8 +66,8 @@ __all__ = [
 ]
 
 
-_FLAGS = ("face_minimal", "vertex_minimal", "orientable", "orientation",
-          "orientably_face_minimal", "orientably_vertex_minimal")
+_FLAGS = dict.fromkeys(("face_minimal", "vertex_minimal", "orientable", "orientation",
+                        "orientably_face_minimal", "orientably_vertex_minimal"))
 
 
 class _Record:
@@ -105,10 +105,10 @@ class CycleRecord(_Record):
     @classmethod
     def from_mask(cls, dim: int, columns: tuple[Face, ...], support: int, **flags) -> CycleRecord:
         """The cycle on the faces at the set bits of ``support`` over ``columns``."""
-        if flags.keys() - set(_FLAGS):
-            raise TypeError(f"unknown CycleRecord flags {sorted(flags.keys() - set(_FLAGS))}")
+        if not flags.keys() <= _FLAGS.keys():
+            raise TypeError(f"unknown CycleRecord flags {sorted(flags.keys() - _FLAGS.keys())}")
         record = cls.__new__(cls)
-        vars(record).update(dict.fromkeys(_FLAGS), dim=dim, columns=columns, support=support, **flags)
+        vars(record).update(_FLAGS, dim=dim, columns=columns, support=support, **flags)
         return record
 
     @cached_property
@@ -472,7 +472,8 @@ def enumerate_cycles_within(
     """Every d-dimensional cycle whose faces lie in the subcomplex induced on ``w``.
 
     ``w`` is an iterable of ambient vertex ids; records are in ambient
-    coordinates, in ``CycleRecord.sort_key`` order.
+    coordinates, in ``CycleRecord.sort_key`` order, which is (size, column
+    tuple) order, since the columns follow the vertex-tuple order.
     """
     if d < 0:
         raise InputError("dimension must be non-negative")
@@ -482,9 +483,8 @@ def enumerate_cycles_within(
             raise InputError(f"unknown vertex id {v}")
         wmask |= 1 << v
     faces = tuple(faces_within(c, d, wmask))
-    records = [CycleRecord.from_mask(d, faces, comp) for comp in cycle_supports([f.mask for f in faces], cap)]
-    records.sort(key=CycleRecord.sort_key)
-    return records
+    supports = sorted(cycle_supports([f.mask for f in faces], cap), key=lambda m: (m.bit_count(), tuple(_bits(m))))
+    return [CycleRecord.from_mask(d, faces, m) for m in supports]
 
 
 def _sign_classes(

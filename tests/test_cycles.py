@@ -7,6 +7,7 @@ from chorded import (
     CapExceeded,
     ChainVector,
     Complex,
+    CycleRecord,
     Face,
     GF2,
     InputError,
@@ -21,6 +22,7 @@ from chorded import (
     enumerate_cycles_within,
     is_d_dimensional_cycle,
     is_orientable,
+    pure_skeleton,
 )
 from chorded.corpus import bipyramid, cycle_graph, octahedron_boundary
 from chorded.field_linalg import DEFAULT_KERNEL_CAP, apply_matrix
@@ -113,6 +115,16 @@ def test_enumerate_cycles_none():
 def test_enumerate_cycles_double_tetra(double_tetra):
     records = enumerate_cycles_within(double_tetra, 2, range(6))
     assert [len(r.faces) for r in records] == [4, 4, 8]
+
+
+def test_enumerate_cycles_in_sort_key_order(counterexample7):
+    """The records come in ``sort_key`` order, and the face sets they build are the cycles' own."""
+    c = pure_skeleton(counterexample7, 1)
+    records = enumerate_cycles_within(c, 1, range(c.vertex_count))
+    assert len(records) > 1000
+    assert records == sorted(records, key=CycleRecord.sort_key)
+    assert [r.sort_key() for r in records] == [CycleRecord(1, r.faces).sort_key() for r in records]
+    assert all(is_d_dimensional_cycle(Complex(c.vertex_count, r.faces), 1) for r in records[::50])
 
 
 def test_enumerate_cycles_within_window(double_tetra):
